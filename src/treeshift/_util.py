@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -30,14 +31,28 @@ def kahan_mean_vectors(vectors) -> np.ndarray:
     return total / len(vectors)
 
 
-def power_norm(matvec, rmatvec, dim: int, *, iters: int = 120, seed: int = 0,
-               label: str = "power-norm") -> float:
+def worst_of(*values: float) -> float:
+    """Largest of the values, or NaN when any of them is NaN.
+
+    The built-in max keeps its first argument when compared against NaN, so
+    a residual accumulator written with it can silently drop a NaN.
+    """
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)
+
+
+def power_norm(matvec, rmatvec, dim: int, *, iters: int = 120,
+               rng: np.random.Generator | None = None) -> float:
     """Largest singular value of an implicitly given map, by power iteration.
 
     Iterates x <- A*Ax with renormalisation each step; the returned value is
-    the best Rayleigh estimate seen. Deterministic for fixed (seed, label).
+    the best Rayleigh estimate seen.  The start vector is drawn from `rng`
+    (default: a fixed stream), so the result is deterministic for a fixed
+    generator state.
     """
-    rng = stable_rng(seed, label)
+    if rng is None:
+        rng = stable_rng(0, "power-norm")
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     nx = np.linalg.norm(x)
     if nx == 0.0:

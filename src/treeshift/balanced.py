@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import dense_spectral_norm, fit_log_slope
+from ._util import dense_spectral_norm, fit_log_slope, worst_of
 from .errors import DimensionMismatch, NotBalanced, PreconditionFailed, WrongGeneration
-from .model import analytic_coeffs
+from .model import analytic_coeffs, expand_layers
 from .multiplier import (
     BOUNDED,
     DIVERGENT,
@@ -135,10 +135,7 @@ def wold_decompose(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector) -> Wold
         raise NotBalanced(f"witness pair {witness}")
     seq = analytic_coeffs(S, basis, f)
     parts = [basis.from_coords(seq.coords[n]) for n in range(seq.length)]
-    recon = L2Vector.zero(S.tree)
-    for n in range(len(parts) - 1, -1, -1):
-        recon = apply_shift(S, recon) if n < len(parts) - 1 else recon
-        recon = recon + parts[n]
+    recon = expand_layers(S, basis, seq)
     return WoldDecomposition(parts=parts, residual=(f - recon).norm())
 
 
@@ -240,7 +237,7 @@ def ratio_bounds_check(S: ShiftOperator, basis: SeparatedBasis) -> RatioBoundsRe
                 rmax = max(vi) / min(vj)
                 rmin = min(vi) / max(vj)
                 pairs += 1
-                worst = max(worst, rmax / hi - 1.0, lo / rmin - 1.0 if rmin > 0 else 0.0)
+                worst = worst_of(worst, rmax / hi - 1.0, lo / rmin - 1.0 if rmin > 0 else 0.0)
     return RatioBoundsReport(ok=worst <= 1e-10, max_ratio_excess=worst,
                              pairs_checked=pairs, bound_base=base)
 

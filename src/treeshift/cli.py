@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import model as mod
 from . import multiplier as mul
 from . import shift as sh
 from . import tree as tr
-from ._util import stable_rng
+from ._util import stable_rng, worst_of
 from .errors import ConfigError, TreeShiftError
 
 TOL_ALG = 1e-12
@@ -87,7 +87,6 @@ class RunConfig:
     tol_power: float = TOL_POWER
     slope_threshold: float = mul.SLOPE_THRESHOLD
     out: str | None = None
-    parallel: bool = False
 
 
 @dataclass
@@ -138,10 +137,21 @@ def _record(name: str, status: str, residual: float | None = None,
             **extra) -> Record:
     if name not in CHECK_REFS:
         raise ConfigError(f"unregistered check name {name!r}")
+    if residual is not None and not math.isfinite(residual):
+        status = "fail"
+        witness = witness or f"residual {residual!r} is not finite"
     if status == "fail" and witness is None:
         witness = f"residual {residual!r} beyond tolerance"
     return Record(name=name, law=CHECK_REFS[name], status=status, residual=residual,
                   exactness_depth=exactness_depth, witness=witness, extra=extra)
+
+
+def _example_tree(name: str, depth: int, alpha: float):
+    """Named example tree with the command line's parameters: T2 takes
+    [alpha], UNILATERAL unit weights, and T4 nothing."""
+    key = name.upper()
+    params = [alpha] if key == "T2" else [1.0] * depth if key == "UNILATERAL" else []
+    return tr.generate_example(name, depth, params)
 
 
 def _default_trees(config: RunConfig):
@@ -150,13 +160,11 @@ def _default_trees(config: RunConfig):
         tree, weights = tr.build_tree(tr.load_tree_spec(config.tree_path))
         return [("file-tree", tree, weights)]
     if config.example:
-        params = [config.alpha] if config.example.upper() == "T2" else (
-            [1.0] * config.depth if config.example.upper() == "UNILATERAL" else [])
-        tree, weights = tr.generate_example(config.example, config.depth, params)
+        tree, weights = _example_tree(config.example, config.depth, config.alpha)
         return [(config.example.lower(), tree, weights)]
     out = [
-        ("two-ray", *tr.generate_example("T2", max(8, config.depth), [config.alpha])),
-        ("chain", *tr.generate_example("UNILATERAL", 10, [1.0] * 10)),
+        ("two-ray", *_example_tree("T2", max(8, config.depth), config.alpha)),
+        ("chain", *_example_tree("UNILATERAL", 10, config.alpha)),
         ("random", *tr.generate_random_tree(6, 3, config.seed + 17)),
     ]
     return out
@@ -173,16 +181,16 @@ def _suite_core_identities(config: RunConfig) -> list[Record]:
             f = sh.L2Vector.random(tree, tree.depth - 1, rng)
             g = sh.L2Vector.random(tree, tree.depth, rng)
             sf = sh.apply_shift(S, f)
-            worst_lt = max(worst_lt, (sh.apply_left_inverse(S, sf) - f).norm())
+            worst_lt = worst_of(worst_lt, (sh.apply_left_inverse(S, sf) - f).norm())
             pe = sh.project_kernel(S, basis, g)
             alt = g - sh.apply_shift(S, sh.apply_left_inverse(S, g))
-            worst_pe = max(worst_pe, (pe - alt).norm())
-            worst_adj = max(worst_adj, abs(sf.inner(g) - f.inner(sh.apply_adjoint(S, g))))
+            worst_pe = worst_of(worst_pe, (pe - alt).norm())
+            worst_adj = worst_of(worst_adj, abs(sf.inner(g) - f.inner(sh.apply_adjoint(S, g))))
             ssf = sh.apply_adjoint(S, sf)
             diag = sh.L2Vector(tree, f.data * S._ns)
-            worst_gram = max(worst_gram, (ssf - diag).norm())
+            worst_gram = worst_of(worst_gram, (ssf - diag).norm())
         for j in range(basis.dim):
-            worst_ker = max(worst_ker, sh.apply_left_inverse(S, basis.vector(j)).norm())
+            worst_ker = worst_of(worst_ker, sh.apply_left_inverse(S, basis.vector(j)).norm())
         checks = [
             ("left-inverse-identity", worst_lt),
             ("kernel-projection-identity", worst_pe),
@@ -208,7 +216,7 @@ def _suite_shimorin(config: RunConfig) -> list[Record]:
             f = sh.L2Vector.random(tree, tree.depth, rng)
             c = mod.analytic_coeffs(S, basis, f)
             back = mod.reconstruct(S, basis, c, tree.depth)
-            worst_rt = max(worst_rt, (back - f).norm())
+            worst_rt = worst_of(worst_rt, (back - f).norm())
         records.append(_record("model-round-trip",
                                "pass" if worst_rt <= config.tol_power else "fail",
                                residual=worst_rt, exactness_depth=tree.depth, tree=label))
@@ -248,15 +256,15 @@ def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
                          + 1j * rng.standard_normal((2, dim, dim)))
         unit = mul.unit_symbol(dim)
         au = mul.convolve(a, unit)
-        worst_unit = max(worst_unit, float(np.linalg.norm(au.mats[:a.length] - a.mats)))
+        worst_unit = worst_of(worst_unit, float(np.linalg.norm(au.mats[:a.length] - a.mats)))
         one = mul.convolve(mul.convolve(a, b), c)
         two = mul.convolve(a, mul.convolve(b, c))
-        worst_assoc = max(worst_assoc, float(np.linalg.norm(one.mats - two.mats)))
+        worst_assoc = worst_of(worst_assoc, float(np.linalg.norm(one.mats - two.mats)))
         sa = mul.ScalarSymbol(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         sb = mul.ScalarSymbol(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         ab = mul.convolve(sa, sb)
         ba = mul.convolve(sb, sa)
-        worst_comm = max(worst_comm, float(np.linalg.norm(ab.coeffs - ba.coeffs)))
+        worst_comm = worst_of(worst_comm, float(np.linalg.norm(ab.coeffs - ba.coeffs)))
     records.append(_record("convolution-unit",
                            "pass" if worst_unit <= config.tol_alg else "fail",
                            residual=worst_unit, tree=label))
@@ -273,7 +281,7 @@ def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
     resid = float(np.linalg.norm(phi.mats[1] - eye)) if n_max >= 1 else 0.0
     for m in range(min(phi.length, n_max + 1)):
         if m != 1:
-            resid = max(resid, float(np.linalg.norm(phi.mats[m])))
+            resid = worst_of(resid, float(np.linalg.norm(phi.mats[m])))
     records.append(_record("power-symbol",
                            "pass" if resid <= config.tol_power else "fail",
                            residual=resid, exactness_depth=n_max, tree=label))
@@ -307,14 +315,14 @@ def _suite_example_t2(config: RunConfig) -> list[Record]:
     records = []
     alpha = config.alpha
     depth = max(config.depth, 14)
-    tree, weights = tr.generate_example("T2", depth, [alpha])
+    tree, weights = _example_tree("T2", depth, alpha)
     S = sh.ShiftOperator(tree, weights)
     basis = sh.separated_kernel_basis(S)
     scale = float(np.sqrt(alpha ** 2 + 1.0))
     expected = sh.L2Vector.from_dict(tree, {(1, 1): alpha / scale, (2, 1): -1.0 / scale})
     got = basis.vector(1)
     resid = min((got - expected).norm(), (got + expected).norm())
-    resid = max(resid, (basis.vector(0) - sh.L2Vector.basis(tree, (0, 0))).norm())
+    resid = worst_of(resid, (basis.vector(0) - sh.L2Vector.basis(tree, (0, 0))).norm())
     records.append(_record("example1-kernel-basis",
                            "pass" if resid <= config.tol_alg else "fail",
                            residual=resid))
@@ -325,7 +333,7 @@ def _suite_example_t2(config: RunConfig) -> list[Record]:
         for n in range(1, depth):
             pe = sh.project_kernel(S, basis, _iterate_left(S, f, n))
             closed = _two_ray_projection(tree, f, n, alpha)
-            worst = max(worst, (pe - closed).norm())
+            worst = worst_of(worst, (pe - closed).norm())
     records.append(_record("example1-projection",
                            "pass" if worst <= config.tol_alg * 100 else "fail",
                            residual=worst))
@@ -344,12 +352,12 @@ def _suite_example_t2(config: RunConfig) -> list[Record]:
                            "pass" if rep2.verdict == mul.BOUNDED else "fail",
                            residual=rep2.slope))
     witness = mul.two_ray_divergence_witness(tree, alpha, depth - 1)
-    image = _apply_opsymbol(S, basis, div, witness, depth - 1)
+    image = sh.L2Vector(tree, mul._apply_symbol_map(S, basis, div, depth, witness.data)[0])
     per_term = alpha ** 4 / (alpha ** 2 + 1.0) ** 2
     worst_w = 0.0
     m = 3
     while m <= depth - 1:
-        worst_w = max(worst_w, abs(abs(image[(1, m)]) ** 2 - per_term))
+        worst_w = worst_of(worst_w, abs(abs(image[(1, m)]) ** 2 - per_term))
         m += 3
     records.append(_record("example1-witness-sums",
                            "pass" if worst_w <= config.tol_alg else "fail",
@@ -376,16 +384,6 @@ def _two_ray_projection(tree, f, n, alpha):
     })
 
 
-def _apply_opsymbol(S, basis, phi, f, support_depth):
-    conv = mul.convolve_with_coeffs(phi, mod.analytic_coeffs(S, basis, f))
-    keep = np.zeros_like(conv.coords)
-    gen = basis.gen_index
-    for n in range(conv.coords.shape[0]):
-        sel = gen + n <= S.tree.depth
-        keep[n][sel] = conv.coords[n][sel]
-    return mod.expand_layers(S, basis, mod.CoeffSeq(coords=keep, exact_to=conv.exact_to))
-
-
 def _suite_harmonics(config: RunConfig) -> list[Record]:
     records = []
     label, tree, weights = _default_trees(config)[0]
@@ -397,12 +395,12 @@ def _suite_harmonics(config: RunConfig) -> list[Record]:
     for _ in range(10):
         f = sh.L2Vector.random(tree, tree.depth, rng)
         fw = har.rotate_vector(tree, f, w)
-        worst_norm = max(worst_norm, abs(fw.norm() - f.norm()))
+        worst_norm = worst_of(worst_norm, abs(fw.norm() - f.norm()))
         cw = mod.analytic_coeffs(S, basis, fw)
         c = mod.analytic_coeffs(S, basis, f)
         diag = har.rotation_diagonal(basis, w)
         for n in range(c.length):
-            worst_coef = max(worst_coef, float(np.linalg.norm(
+            worst_coef = worst_of(worst_coef, float(np.linalg.norm(
                 cw.coords[n] - (w ** n) * diag.phases * c.coords[n])))
     records.append(_record("rotation-norm",
                            "pass" if worst_norm <= 1e-13 * 10 else "fail",
@@ -411,7 +409,7 @@ def _suite_harmonics(config: RunConfig) -> list[Record]:
                            "pass" if worst_coef <= config.tol_alg * 10 else "fail",
                            residual=worst_coef, tree=label))
     phi = mul.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
-    resid = max(
+    resid = worst_of(
         har.circle_integral_check(S, basis, phi, 1, seed=config.seed),
         har.circle_integral_check(S, basis, phi, -2, seed=config.seed))
     records.append(_record("circle-integral",
@@ -427,11 +425,11 @@ def _suite_harmonics(config: RunConfig) -> list[Record]:
     rows = [{"order": r.order, "vector": r.vector_id, "error": r.error,
              "norm_estimate": rep.norm_estimates[r.order]} for r in rep.rows]
     records.append(_record("cesaro-decay", "pass" if ok_decay else "fail",
-                           residual=max(r.error for r in rep.rows), tree=label,
+                           residual=worst_of(*(r.error for r in rep.rows)), tree=label,
                            rows=rows))
     dominated = all(n <= rep.full_norm_estimate * 1.05 for n in rep.norm_estimates.values())
     records.append(_record("fejer-domination", "pass" if dominated else "fail",
-                           residual=max(rep.norm_estimates.values()) /
+                           residual=worst_of(*rep.norm_estimates.values()) /
                            max(rep.full_norm_estimate, 1e-30), tree=label))
     return records
 
@@ -454,7 +452,7 @@ def _suite_balanced(config: RunConfig) -> list[Record]:
             v: complex(rng.standard_normal(), rng.standard_normal()) for v in gen})
         n = int(rng.integers(0, min(4, depth - k)))
         u_prime = tree.generations[k + n][0]
-        worst_pair = max(worst_pair, bal.balanced_inner_product_check(S, f, g, n, u_prime))
+        worst_pair = worst_of(worst_pair, bal.balanced_inner_product_check(S, f, g, n, u_prime))
     records.append(_record("balanced-pairing",
                            "pass" if worst_pair <= config.tol_power * 100 else "fail",
                            residual=worst_pair))
@@ -463,8 +461,8 @@ def _suite_balanced(config: RunConfig) -> list[Record]:
         f = sh.L2Vector.random(tree, depth, rng)
         dec = bal.wold_decompose(S, basis, f)
         layer = dec.layer_norms(S)
-        worst_wold = max(worst_wold, abs(sum(x ** 2 for x in layer) - f.norm() ** 2),
-                         dec.residual)
+        worst_wold = worst_of(worst_wold, abs(sum(x ** 2 for x in layer) - f.norm() ** 2),
+                              dec.residual)
     records.append(_record("wold-parseval",
                            "pass" if worst_wold <= config.tol_power * 100 else "fail",
                            residual=worst_wold))
@@ -533,12 +531,7 @@ def run(config: RunConfig) -> Report:
             raise ConfigError(f"cannot use tree source {config.tree_path}: {exc}") from exc
 
     ordered = sorted(requested, key=SUITES.index)
-    if config.parallel:
-        with ThreadPoolExecutor(max_workers=len(ordered) or 1) as pool:
-            chunks = list(pool.map(call, ordered))
-    else:
-        chunks = [call(name) for name in ordered]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for name in ordered for rec in call(name)]
     cfg = {
         "alpha": config.alpha, "depth": config.depth, "example": config.example,
         "seed": config.seed, "slope_threshold": config.slope_threshold,
@@ -569,7 +562,8 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--tol-alg", type=float, default=TOL_ALG)
     runp.add_argument("--tol-power", type=float, default=TOL_POWER)
     runp.add_argument("--slope-threshold", type=float, default=mul.SLOPE_THRESHOLD)
-    runp.add_argument("--parallel", action="store_true")
+    runp.add_argument("--parallel", action="store_true",
+                      help="accepted and ignored; suites always run in order")
 
     genp = sub.add_parser("generate", help="emit an example tree spec as JSON")
     genp.add_argument("--example", required=True)
@@ -597,25 +591,20 @@ def main(argv: list[str] | None = None) -> int:
                 tree_path=args.tree, example=args.example, alpha=args.alpha,
                 depth=args.depth, suites=suites, seed=seed, tol_alg=args.tol_alg,
                 tol_power=args.tol_power, slope_threshold=args.slope_threshold,
-                out=args.out, parallel=args.parallel)
+                out=args.out)
             report = run(config)
             if not args.out:
                 sys.stdout.write(report.to_json_lines())
             return 1 if report.failed else 0
         if args.command == "generate":
-            params = [args.alpha] if args.example.upper() == "T2" else (
-                [1.0] * args.depth if args.example.upper() == "UNILATERAL" else [])
-            tree, weights = tr.generate_example(args.example, args.depth, params)
+            tree, weights = _example_tree(args.example, args.depth, args.alpha)
             tr.save_tree_spec(tr.tree_to_spec(tree, weights), args.out)
             return 0
         if args.command == "inspect":
             if args.tree:
                 tree, weights = tr.build_tree(tr.load_tree_spec(args.tree))
             else:
-                example = args.example or "T2"
-                params = [args.alpha] if example.upper() == "T2" else (
-                    [1.0] * args.depth if example.upper() == "UNILATERAL" else [])
-                tree, weights = tr.generate_example(example, args.depth, params)
+                tree, weights = _example_tree(args.example or "T2", args.depth, args.alpha)
             S = sh.ShiftOperator(tree, weights)
             basis = sh.separated_kernel_basis(S)
             info = {

@@ -12,7 +12,7 @@ class MalformedSpec(TreeShiftError):
 
 
 class NonpositiveWeight(TreeShiftError):
-    """An edge weight is zero or negative."""
+    """An edge weight is not positive, not finite, or too large to square."""
 
 
 class UnknownExample(TreeShiftError):

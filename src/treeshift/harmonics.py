@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import kahan_mean_vectors, stable_rng
+from ._util import kahan_mean_vectors, stable_rng, worst_of
 from .errors import DimensionMismatch, NotUnimodular, QuadratureTooCoarse
 from .model import CoefficientSystem, analytic_coeffs, reconstruct
 from .multiplier import (
@@ -209,5 +209,5 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
         else:
             target = reconstruct(S, basis, convolve_with_coeffs(target_sym, c),
                                  support, system=system).data
-        worst = max(worst, float(np.linalg.norm(avg - target)))
+        worst = worst_of(worst, float(np.linalg.norm(avg - target)))
     return worst

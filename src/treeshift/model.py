@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import stable_rng
-from .errors import Inconsistent, NotLeftInvertible, OutsideDisc, SupportOverflow, UnderdeterminedWarning
+from ._util import power_norm, stable_rng
+from .errors import Inconsistent, NotLeftInvertible, OutsideDisc, UnderdeterminedWarning
 from .shift import (
     L2Vector,
     SeparatedBasis,
@@ -95,16 +95,11 @@ def analytic_coeffs(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector,
 def expand_layers(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq) -> L2Vector:
     """Evaluate sum_n S^n c(n) by a Horner walk down the generations.
 
-    This inverts analytic_coeffs exactly on the truncation.  Raises
-    SupportOverflow when a nonzero coefficient would leave the stored depth.
+    This inverts analytic_coeffs exactly on the truncation.  A nonzero
+    coefficient whose layer would leave the stored depth makes the walk shift
+    a vector touching the last generation, so apply_shift raises
+    SupportOverflow.
     """
-    depth = S.tree.depth
-    gen = basis.gen_index
-    for n in range(c.length):
-        bad = np.nonzero(c.coords[n])[0]
-        if bad.size and int(gen[bad].max()) + n > depth:
-            raise SupportOverflow(
-                f"coefficient {n} needs generation {int(gen[bad].max()) + n} > depth {depth}")
     acc = L2Vector.zero(S.tree)
     for n in range(c.length - 1, -1, -1):
         acc = apply_shift(S, acc) if n < c.length - 1 else acc
@@ -210,33 +205,24 @@ def _adjoint_power_stack(S: ShiftOperator, basis: SeparatedBasis, order: int) ->
     stacks = [W]
     cur = [basis.vector(j) for j in range(basis.dim)]
     for _ in range(order):
-        nxt = []
-        W = np.zeros((n_vert, basis.dim), dtype=np.complex128)
-        for j, vec in enumerate(cur):
-            if vec.support_depth() >= S.tree.depth:
-                raised = L2Vector.zero(S.tree)
-            else:
-                raised = apply_left_inverse_adjoint(S, vec)
-            nxt.append(raised)
-            W[:, j] = raised.data
-        stacks.append(W)
-        cur = nxt
+        cur = [apply_left_inverse_adjoint_truncating(S, vec) for vec in cur]
+        stacks.append(np.stack([vec.data for vec in cur], axis=1))
     return stacks
 
 
 def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "SpectralRadiusEstimate":
     """Estimate of the spectral radius of L from ||L^n||^(1/n) on the truncation.
 
-    Each operator norm comes from a fixed-length power iteration with seeded
-    start; the estimate is the maximum of the last five root-norms, a
-    conservative over-estimate that shrinks the trusted disc safely.
+    Each operator norm comes from a 60-step power iteration; the start
+    vectors are drawn in turn from one seeded stream.  The estimate is the
+    maximum of the last five root-norms, a conservative over-estimate that
+    shrinks the trusted disc safely.
     """
     if S.lower_bound <= 0:
         raise NotLeftInvertible("shift has no positive lower bound on the truncation")
     depth = S.tree.depth
     steps = max(1, min(iterations, depth))
     rng = stable_rng(0xC0FFEE, "spectral-radius")
-    n = S.tree.n_vertices
     norms: list[float] = []
     roots: list[float] = []
     for k in range(1, steps + 1):
@@ -252,19 +238,7 @@ def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "Spectral
                 v = apply_left_inverse_adjoint_truncating(S, v)
             return v.data
 
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        best = 0.0
-        for _ in range(60):
-            y = matvec(x)
-            ny = float(np.linalg.norm(y))
-            best = max(best, ny)
-            x = rmatvec(y)
-            nx = float(np.linalg.norm(x))
-            if nx == 0.0:
-                break
-            best = max(best, float(np.sqrt(nx)))
-            x /= nx
+        best = power_norm(matvec, rmatvec, S.tree.n_vertices, iters=60, rng=rng)
         norms.append(best)
         roots.append(best ** (1.0 / k) if best > 0 else 0.0)
     estimate = max(roots[-5:]) if roots else 0.0

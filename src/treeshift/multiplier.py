@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import dense_spectral_norm, fit_log_slope, power_norm, stable_rng
+from ._util import dense_spectral_norm, fit_log_slope, power_norm, stable_rng, worst_of
 from .errors import DimensionMismatch, NotInCommutant, PreconditionFailed
 from .model import CoeffSeq, analytic_coeffs, expand_layers
 from .shift import (
@@ -23,8 +23,10 @@ from .shift import (
     SeparatedBasis,
     ShiftOperator,
     apply_adjoint,
+    apply_left_inverse_adjoint_truncating,
+    apply_shift,
 )
-from .tree import VertexId, lambda_product
+from .tree import VertexId
 
 BOUNDED = "BoundedSoFar"
 DIVERGENT = "DivergenceDetected"
@@ -223,7 +225,7 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
         comm_norm = dense_spectral_norm(comm)
     else:
         comm_norm = power_norm(lambda x: comm @ x, lambda y: comm.conj().T @ y,
-                               tree.n_vertices, seed=seed, label="commutator")
+                               tree.n_vertices, rng=stable_rng(seed, "commutator"))
     if comm_norm > commute_tol:
         raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e} > {commute_tol:g}")
 
@@ -239,7 +241,7 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
         lhs = analytic_coeffs(S, basis, L2Vector(tree, A @ f.data))
         rhs = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f))
         upto = lhs.length
-        worst = max(worst, float(np.linalg.norm(lhs.coords - rhs.coords[:upto])))
+        worst = worst_of(worst, float(np.linalg.norm(lhs.coords - rhs.coords[:upto])))
     return VerificationReport(
         name="commutant-convolution", max_residual=worst, trials=trials,
         exactness_depth=f_depth, details={"commutator_norm": comm_norm})
@@ -263,6 +265,19 @@ class MembershipReport:
     dropped_mass: float = 0.0
 
 
+def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> float:
+    """Zero, in place, the components whose layer would leave the truncation.
+
+    Component j of coefficient n expands to S^n e'_j, which lives in
+    generation gen_index[j] + n; it is dropped when that passes the tree
+    depth.  Returns the dropped mass: the sum over n of the norms dropped.
+    """
+    over = np.add.outer(np.arange(coords.shape[0]), basis.gen_index) > basis.tree.depth
+    dropped = float(np.linalg.norm(np.where(over, coords, 0.0), axis=1).sum())
+    coords[over] = 0.0
+    return dropped
+
+
 def _compressed_map_columns(S: ShiftOperator, basis: SeparatedBasis,
                             phi: ScalarSymbol | OpSymbol, d: int) -> tuple[np.ndarray, float, list[VertexId]]:
     """Matrix of f -> expansion of phi * coeffs(f) over unit vectors in V_{<=d}.
@@ -274,18 +289,11 @@ def _compressed_map_columns(S: ShiftOperator, basis: SeparatedBasis,
     cols = [v for v in tree.vertices if tree.generation[v] <= d]
     out = np.zeros((tree.n_vertices, len(cols)), dtype=np.complex128)
     dropped = 0.0
-    gen = basis.gen_index
     for ci, v in enumerate(cols):
         c = analytic_coeffs(S, basis, L2Vector.basis(tree, v), order=tree.generation[v])
         conv = convolve_with_coeffs(phi, c)
-        coords = conv.coords
-        for n in range(coords.shape[0]):
-            over = gen + n > tree.depth
-            if np.any(over):
-                dropped += float(np.linalg.norm(coords[n][over]))
-                coords[n][over] = 0.0
-        g = expand_layers(S, basis, CoeffSeq(coords=coords, exact_to=conv.exact_to))
-        out[:, ci] = g.data
+        dropped += _drop_beyond_depth(conv.coords, basis)
+        out[:, ci] = expand_layers(S, basis, conv).data
     return out, dropped, cols
 
 
@@ -297,47 +305,29 @@ def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
     f = L2Vector.zero(tree)
     n_in = sum(len(g) for g in tree.generations[:d + 1])
     f.data[:n_in] = x
-    c = analytic_coeffs(S, basis, f, order=d)
-    conv = convolve_with_coeffs(phi, c)
-    coords = conv.coords
-    gen = basis.gen_index
-    dropped = 0.0
-    for n in range(coords.shape[0]):
-        over = gen + n > tree.depth
-        if np.any(over):
-            dropped += float(np.linalg.norm(coords[n][over]))
-            coords[n][over] = 0.0
-    g = expand_layers(S, basis, CoeffSeq(coords=coords, exact_to=conv.exact_to))
-    return g.data, dropped
+    conv = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f, order=d))
+    dropped = _drop_beyond_depth(conv.coords, basis)
+    return expand_layers(S, basis, conv).data, dropped
 
 
 def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
                               phi: ScalarSymbol | OpSymbol, d: int,
                               z: np.ndarray) -> np.ndarray:
     """Adjoint of _apply_symbol_map, back to coefficients over V_{<=d}."""
-    from .shift import apply_left_inverse_adjoint_truncating
-
     tree = S.tree
     length = phi.length + d
-    gen = basis.gen_index
     v = L2Vector(tree, z.astype(np.complex128))
-    ys = []
-    for _ in range(length):
-        ys.append(basis.coords(v))
+    ys = np.zeros((length, basis.dim), dtype=np.complex128)
+    for m in range(length):
+        ys[m] = basis.coords(v)
         v = apply_adjoint(S, v)
+    _drop_beyond_depth(ys, basis)
     cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
-    for n in range(d + 1):
-        for m in range(n, length):
-            k = m - n
-            if k >= phi.length:
-                continue
-            y = ys[m].copy()
-            over = gen + m > tree.depth
-            y[over] = 0.0
-            if isinstance(phi, ScalarSymbol):
-                cprime[n] += np.conj(phi.coeffs[k]) * y
-            else:
-                cprime[n] += phi.mats[k].conj().T @ y
+    for k in range(phi.length):
+        if isinstance(phi, ScalarSymbol):
+            cprime += np.conj(phi.coeffs[k]) * ys[k:k + d + 1]
+        else:
+            cprime += ys[k:k + d + 1] @ phi.mats[k].conj()
     out = L2Vector.zero(tree)
     for n in range(d, -1, -1):
         if n < d:
@@ -365,7 +355,7 @@ def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
     norm = power_norm(
         lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
         lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
-        n_in, iters=150, seed=seed, label=f"compressed-norm-{d}")
+        n_in, iters=150, rng=stable_rng(seed, f"compressed-norm-{d}"))
     return norm, dropped
 
 
@@ -421,7 +411,7 @@ def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
         c = analytic_coeffs(S, basis, f)
         one = convolve_with_coeffs(phi, convolve_with_coeffs(psi, c))
         two = convolve_with_coeffs(both, c)
-        worst = max(worst, float(np.linalg.norm(one.coords - two.coords)))
+        worst = worst_of(worst, float(np.linalg.norm(one.coords - two.coords)))
     return VerificationReport(
         name="product-law", max_residual=worst, trials=trials,
         exactness_depth=tree.depth, details=verdicts)
@@ -429,44 +419,32 @@ def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
 
 def scalar_mult_apply(S: ShiftOperator, weights, phi: ScalarSymbol,
                       f: L2Vector) -> L2Vector:
-    """Weighted ancestor sum: (M f)(v) = sum_k lambda(par^k v | v) phi(k) f(par^k v)."""
-    tree = S.tree
-    out = L2Vector.zero(tree)
-    coeffs = phi.coeffs
-    for v in tree.vertices:
-        total = 0.0 + 0.0j
-        prod = 1.0
-        w = v
-        for k in range(min(tree.generation[v], phi.length - 1) + 1):
-            fval = f.data[tree.index[w]]
-            if fval != 0 and coeffs[k] != 0:
-                total += prod * coeffs[k] * fval
-            if w != tree.root:
-                prod *= weights[w]
-                w = tree.parent[w]
-        out.data[tree.index[v]] = total
-    return out
+    """Weighted ancestor sum: (M f)(v) = sum_k lambda(par^k v | v) phi(k) f(par^k v).
+
+    Evaluated as the Horner walk of sum_k phi(k) S^k f with the truncated
+    shift, which drops the mass that would leave the last generation.
+    `weights` must be the shift's own weights.
+    """
+    n_keep = S.tree.n_vertices - len(S.tree.generations[S.tree.depth])
+    acc = f * phi.coeffs[-1]
+    for c in phi.coeffs[-2::-1]:
+        acc.data[n_keep:] = 0.0
+        acc = apply_shift(S, acc) + f * c
+    return acc
 
 
 def scalar_mult_adjoint(S: ShiftOperator, weights, phi: ScalarSymbol,
                         f: L2Vector) -> L2Vector:
-    """Adjoint of the scalar multiplication: mass flows from descendants to ancestors."""
-    tree = S.tree
-    out = L2Vector.zero(tree)
+    """Adjoint of the scalar multiplication: mass flows from descendants to ancestors.
+
+    The Horner walk of sum_k conj(phi(k)) (S*)^k f; `weights` must be the
+    shift's own weights.
+    """
     coeffs = np.conj(phi.coeffs)
-    for w in tree.vertices:
-        fval = f.data[tree.index[w]]
-        if fval == 0:
-            continue
-        prod = 1.0
-        t = w
-        for k in range(min(tree.generation[w], phi.length - 1) + 1):
-            if coeffs[k] != 0:
-                out.data[tree.index[t]] += prod * coeffs[k] * fval
-            if t != tree.root:
-                prod *= weights[t]
-                t = tree.parent[t]
-    return out
+    acc = f * coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = apply_adjoint(S, acc) + f * c
+    return acc
 
 
 def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
@@ -491,7 +469,7 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
         conv = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f, order=f_depth))
         via_model = reconstruct(S, basis, conv,
                                 support_depth=f_depth + phi.length - 1 + basis.max_generation)
-        worst = max(worst, (direct - via_model).norm())
+        worst = worst_of(worst, (direct - via_model).norm())
     return VerificationReport(
         name="scalar-equivalence", max_residual=worst, trials=trials,
         exactness_depth=f_depth)

@@ -16,7 +16,6 @@ from typing import Iterator, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from ._util import stable_rng
 from .errors import NotLeftInvertible, SupportOverflow
 from .tree import Tree, VertexId, WeightMap
 
@@ -325,14 +324,3 @@ def left_inverse_matrix(S: ShiftOperator) -> np.ndarray:
     out[S._parent_idx, S._child_idx] = S._wvec / S._ns[S._parent_idx]
     return out
 
-
-def sparse_shift_matrix(S: ShiftOperator) -> sp.csr_matrix:
-    """Sparse matrix of the truncated shift, for wide trees."""
-    n = S.tree.n_vertices
-    return sp.csr_matrix(
-        (S._wvec.astype(np.complex128), (S._child_idx, S._parent_idx)), shape=(n, n))
-
-
-def random_vector(tree: Tree, max_generation: int, seed: int, label: str = "vec") -> L2Vector:
-    """Seeded random unit vector supported in generations <= max_generation."""
-    return L2Vector.random(tree, max_generation, stable_rng(seed, label))

@@ -9,6 +9,7 @@ at least one child (no interior leaves).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Sequence
 
@@ -105,14 +106,6 @@ class Tree:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def ancestors(self, v: VertexId) -> Iterator[VertexId]:
-        """Yield v, parent(v), ..., root."""
-        while True:
-            yield v
-            if v == self.root:
-                return
-            v = self.parent[v]
-
     def descendants(self, u: VertexId) -> Iterator[VertexId]:
         """Yield descendants of u (including u) in breadth-first order."""
         frontier = [u]
@@ -123,12 +116,14 @@ class Tree:
                 nxt.extend(self.children[w])
             frontier = nxt
 
-    def is_last_generation(self, v: VertexId) -> bool:
-        return self.generation[v] == self.depth
+
+def _usable_weight(w: float) -> bool:
+    """Positive, finite and with a finite square (S*S holds squared weights)."""
+    return w > 0 and math.isfinite(w * w)
 
 
 class WeightMap:
-    """Positive weights on all non-root vertices of a tree."""
+    """Positive finite weights on all non-root vertices of a tree."""
 
     def __init__(self, tree: Tree, weights: dict[VertexId, float]) -> None:
         for v in tree.vertices:
@@ -137,8 +132,8 @@ class WeightMap:
             w = weights.get(v)
             if w is None:
                 raise MalformedSpec(f"missing weight for vertex {v!r}")
-            if not (w > 0):
-                raise NonpositiveWeight(f"weight at {v!r} is {w!r}")
+            if not _usable_weight(w):
+                raise NonpositiveWeight(f"weight at {v!r} is {w!r}, not a positive finite number")
         self.tree = tree
         self.values: dict[VertexId, float] = {
             v: float(weights[v]) for v in tree.vertices if v != tree.root}
@@ -151,7 +146,8 @@ def build_tree(spec: TreeSpec) -> tuple[Tree, WeightMap]:
     """Validate a tree specification and assemble the tree plus its weight map.
 
     Rejects duplicate edges, vertices with several parents, cycles, interior
-    leaves, vertices beyond the stated depth, and nonpositive weights.
+    leaves, vertices beyond the stated depth, and weights that are not
+    positive or whose square is not finite.
     """
     children: dict[VertexId, list[VertexId]] = {}
     weights: dict[VertexId, float] = {}
@@ -162,8 +158,9 @@ def build_tree(spec: TreeSpec) -> tuple[Tree, WeightMap]:
         seen.add((u, v))
         if v == spec.root:
             raise MalformedSpec("root cannot have a parent")
-        if not (w > 0):
-            raise NonpositiveWeight(f"weight on edge {u!r} -> {v!r} is {w!r}")
+        if not _usable_weight(w):
+            raise NonpositiveWeight(
+                f"weight on edge {u!r} -> {v!r} is {w!r}, not a positive finite number")
         children.setdefault(u, []).append(v)
         children.setdefault(v, [])
         weights[v] = float(w)

@@ -64,11 +64,11 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parallel_matches_sequential(tmp_path):
+def test_parallel_flag_is_ignored(tmp_path):
     a, b = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-    run(RunConfig(suites=("core-identities", "harmonics"), seed=4, out=str(a)))
-    run(RunConfig(suites=("core-identities", "harmonics"), seed=4, out=str(b),
-                  parallel=True))
+    args = ["run", "--suite", "core-identities", "--suite", "harmonics", "--seed", "4"]
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b), "--parallel"]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -122,6 +122,32 @@ def test_cli_error_exit_code(tmp_path):
     missing = tmp_path / "nope.json"
     rc = main(["run", "--tree", str(missing), "--suite", "core-identities"])
     assert rc == 2
+
+
+def test_cli_rejects_infinite_weight(tmp_path, capsys):
+    spec = tmp_path / "inf.json"
+    spec.write_text(json.dumps({"depth": 2, "root": "r", "edges": [
+        {"from": "r", "to": "a", "weight": 1.0},
+        {"from": "a", "to": "b", "weight": float("inf")}]}))
+    rc = main(["run", "--tree", str(spec), "--suite", "core-identities"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_record_nonfinite_residual_fails():
+    from treeshift.cli import _record
+
+    for resid in (float("nan"), float("inf"), -float("inf")):
+        for status in ("pass", "diagnostic"):
+            rec = _record("left-inverse-identity", status, residual=resid)
+            assert rec.status == "fail"
+            assert "not finite" in rec.witness
+    kept = _record("left-inverse-identity", "fail", residual=float("nan"), witness="given")
+    assert kept.witness == "given"
+    assert _record("left-inverse-identity", "pass", residual=1e-15).status == "pass"
 
 
 def test_cli_env_seed(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import treeshift as ts
 from treeshift._util import stable_rng
@@ -105,11 +105,15 @@ def test_convolve_indicator_composition():
 
 
 @given(a=complex_lists, b=complex_lists)
+@example(a=[1 + 0j], b=[1 + 0j, 0j])
 def test_convolve_matches_polymul(a, b):
     pa = ts.ScalarSymbol(np.array(a))
     pb = ts.ScalarSymbol(np.array(b))
     got = ts.convolve(pa, pb)
+    # np.polymul strips zero leading coefficients; convolve keeps the full
+    # length len(a) + len(b) - 1, so pad the oracle back to it
     want = np.polymul(np.array(a)[::-1], np.array(b)[::-1])[::-1]
+    want = np.pad(want, (0, len(a) + len(b) - 1 - len(want)))
     assert np.linalg.norm(got.coeffs - want) < 1e-9
 
 
@@ -447,3 +451,52 @@ def test_compressed_map_matches_literal_reconstruct(t2_shift):
         g = ts.reconstruct(S, basis, conv,
                            support_depth=d + phi.length - 1 + basis.max_generation)
         assert np.linalg.norm(mat[:, ci] - g.data) < 1e-11
+
+
+def _power_path_cases():
+    # Both cases let the convolution reach past the last generation, so the
+    # truncation drops mass on the power path.
+    tree, weights = ts.generate_example("T2", 6, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    yield S, ts.separated_kernel_basis(S), ts.ScalarSymbol(np.array([1, -0.5j, 0.25, 0.3]))
+    tree, weights = ts.generate_random_tree(5, 3, 3)
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    rng = stable_rng(0, "power-path-symbol")
+    shape = (3, basis.dim, basis.dim)
+    yield S, basis, ts.OpSymbol(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def test_power_path_maps_are_adjoint():
+    from treeshift.multiplier import _apply_symbol_map, _apply_symbol_map_adjoint
+
+    d = 4
+    for S, basis, phi in _power_path_cases():
+        n_in = sum(len(g) for g in S.tree.generations[:d + 1])
+        rng = stable_rng(1, "power-path-adjoint")
+        for _ in range(5):
+            x = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+            z = rng.standard_normal(S.tree.n_vertices) + 1j * rng.standard_normal(S.tree.n_vertices)
+            x /= np.linalg.norm(x)
+            z /= np.linalg.norm(z)
+            ax, dropped = _apply_symbol_map(S, basis, phi, d, x)
+            assert dropped > 0.0
+            az = _apply_symbol_map_adjoint(S, basis, phi, d, z)
+            assert abs(np.vdot(z, ax) - np.vdot(az, x)) < 1e-12
+
+
+def test_power_path_norm_matches_dense():
+    from treeshift._util import dense_spectral_norm, power_norm
+    from treeshift.multiplier import (_apply_symbol_map, _apply_symbol_map_adjoint,
+                                      _compressed_map_columns)
+
+    d = 4
+    for S, basis, phi in _power_path_cases():
+        n_in = sum(len(g) for g in S.tree.generations[:d + 1])
+        mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
+        assert dropped > 0.0
+        want = dense_spectral_norm(mat)
+        got = power_norm(lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
+                         lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
+                         n_in, iters=150, rng=stable_rng(0, f"compressed-norm-{d}"))
+        assert abs(got - want) <= 1e-8 * want

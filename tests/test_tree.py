@@ -30,6 +30,18 @@ def test_build_rejects_zero_weight():
         ts.build_tree(spec)
 
 
+@pytest.mark.parametrize("w", [float("inf"), float("nan"), 1e200])
+def test_build_rejects_nonfinite_weight(w):
+    # 1e200 is finite, but its square, which S*S holds, is not
+    spec = ts.TreeSpec(depth=2, root="r", edges=(("r", "a", 1.0), ("a", "b", w)))
+    with pytest.raises(NonpositiveWeight):
+        ts.build_tree(spec)
+    tree, _ = ts.build_tree(ts.TreeSpec(depth=2, root="r", edges=(
+        ("r", "a", 1.0), ("a", "b", 1.0))))
+    with pytest.raises(NonpositiveWeight):
+        ts.WeightMap(tree, {"a": 1.0, "b": w})
+
+
 def test_build_rejects_duplicate_edge():
     spec = ts.TreeSpec(depth=2, root="r", edges=(
         ("r", "a", 1.0), ("r", "a", 2.0)))
