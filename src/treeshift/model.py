@@ -21,11 +21,12 @@ from .shift import (
     L2Vector,
     SeparatedBasis,
     ShiftOperator,
+    _left_inverse_array,
+    _shift_array,
     apply_adjoint,
     apply_left_inverse,
     apply_left_inverse_adjoint,
     apply_left_inverse_adjoint_truncating,
-    apply_shift,
 )
 
 RECONSTRUCT_TOL = 1e-8
@@ -83,13 +84,22 @@ def analytic_coeffs(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector,
     """
     if order is None:
         order = S.tree.depth
-    coords = np.zeros((order + 1, basis.dim), dtype=np.complex128)
-    g = f
+    return CoeffSeq(coords=_coeff_array(S, basis, f.data, order), exact_to=order)
+
+
+def _coeff_array(S: ShiftOperator, basis: SeparatedBasis, x: np.ndarray,
+                 order: int) -> np.ndarray:
+    """P_E L^n x for n = 0..order, for a vector x (n,) or a block x (n, m).
+
+    Returns shape (order + 1, dim) or (order + 1, dim, m): entry [n, j] holds
+    coordinate j of the n-th coefficient, with the block's columns last.
+    """
+    coords = np.zeros((order + 1, basis.dim) + x.shape[1:], dtype=np.complex128)
     for n in range(order + 1):
-        coords[n] = basis.coords(g)
+        coords[n] = basis._coords_array(x)
         if n < order:
-            g = apply_left_inverse(S, g)
-    return CoeffSeq(coords=coords, exact_to=order)
+            x = _left_inverse_array(S, x)
+    return coords
 
 
 def expand_layers(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq) -> L2Vector:
@@ -97,13 +107,19 @@ def expand_layers(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq) -> L2Vec
 
     This inverts analytic_coeffs exactly on the truncation.  A nonzero
     coefficient whose layer would leave the stored depth makes the walk shift
-    a vector touching the last generation, so apply_shift raises
+    a vector touching the last generation, so the shift step raises
     SupportOverflow.
     """
-    acc = L2Vector.zero(S.tree)
-    for n in range(c.length - 1, -1, -1):
-        acc = apply_shift(S, acc) if n < c.length - 1 else acc
-        acc = acc + basis.from_coords(c.coords[n])
+    return L2Vector(S.tree, _layer_array(S, basis, c.coords))
+
+
+def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray) -> np.ndarray:
+    """sum_n S^n c(n) for coefficients laid out as _coeff_array returns them."""
+    acc = np.zeros((S.tree.n_vertices,) + coords.shape[2:], dtype=np.complex128)
+    for n in range(coords.shape[0] - 1, -1, -1):
+        if n < coords.shape[0] - 1:
+            acc = _shift_array(S, acc)
+        acc = acc + basis._from_coords_array(coords[n])
     return acc
 
 
@@ -111,7 +127,9 @@ class CoefficientSystem:
     """Stacked linear map f -> (P_E L^n f)_n on vectors supported in V_{<=d}.
 
     Precomputes an SVD so many right-hand sides can be solved with one
-    factorisation; solutions are minimal-norm.
+    factorisation; solutions are minimal-norm.  The columns are the unit
+    vectors of V_{<=d}, a prefix of the breadth-first vertex order, and the
+    matrix comes from one coefficient pass over all of them at once.
     """
 
     def __init__(self, S: ShiftOperator, basis: SeparatedBasis, support_depth: int,
@@ -124,11 +142,10 @@ class CoefficientSystem:
         self.columns = [v for v in tree.vertices
                         if tree.generation[v] <= self.support_depth]
         ncols = len(self.columns)
-        nrows = (order + 1) * basis.dim
-        A = np.zeros((nrows, ncols), dtype=np.complex128)
-        for ci, v in enumerate(self.columns):
-            seq = analytic_coeffs(S, basis, L2Vector.basis(tree, v), order)
-            A[:, ci] = seq.coords.ravel()
+        # The unit block is not bound to a name, so it is freed before the SVD
+        # allocates its workspace (peak memory stays at the column loop's).
+        A = _coeff_array(S, basis, np.eye(tree.n_vertices, ncols, dtype=np.complex128),
+                         order).reshape((order + 1) * basis.dim, ncols)
         self.matrix = A
         u, s, vh = np.linalg.svd(A, full_matrices=False)
         cutoff = rcond * (s[0] if s.size else 0.0)
@@ -146,8 +163,7 @@ class CoefficientSystem:
 
     def to_vector(self, x: np.ndarray) -> L2Vector:
         out = L2Vector.zero(self.S.tree)
-        for ci, v in enumerate(self.columns):
-            out.data[self.S.tree.index[v]] = x[ci]
+        out.data[:len(self.columns)] = x
         return out
 
 
@@ -214,9 +230,12 @@ def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "Spectral
     """Estimate of the spectral radius of L from ||L^n||^(1/n) on the truncation.
 
     Each operator norm comes from a 60-step power iteration; the start
-    vectors are drawn in turn from one seeded stream.  The estimate is the
-    maximum of the last five root-norms, a conservative over-estimate that
-    shrinks the trusted disc safely.
+    vectors are drawn in turn from one seeded stream.  Each entry of `norms`
+    is a power-iteration lower bound on ||L^k||, not an upper bound: on the
+    balanced double ray at depth 20 it reads up to 0.8 % below the dense
+    singular value.  The estimate is the maximum of the last five root-norms;
+    it is not a certified bound on the spectral radius, and the disc it
+    trusts can be slightly too large.
     """
     if S.lower_bound <= 0:
         raise NotLeftInvertible("shift has no positive lower bound on the truncation")

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._util import dense_spectral_norm, fit_log_slope, power_norm, stable_rng, worst_of
 from .errors import DimensionMismatch, NotInCommutant, PreconditionFailed
-from .model import CoeffSeq, analytic_coeffs, expand_layers
+from .model import CoeffSeq, _coeff_array, _layer_array, analytic_coeffs, expand_layers
 from .shift import (
     L2Vector,
     SeparatedBasis,
@@ -149,17 +149,25 @@ def convolve(a: ScalarSymbol | OpSymbol, b: ScalarSymbol | OpSymbol) -> ScalarSy
 
 def convolve_with_coeffs(phi: ScalarSymbol | OpSymbol, c: CoeffSeq) -> CoeffSeq:
     """(phi * c)(n) = sum_{k<=n} phi(k) c(n-k), out to full length."""
-    if isinstance(phi, OpSymbol) and phi.dim != c.dim:
-        raise DimensionMismatch(f"symbol dim {phi.dim} vs coefficient dim {c.dim}")
-    length = phi.length + c.length - 1
-    out = np.zeros((length, c.dim), dtype=np.complex128)
+    out = _convolve_array(phi, c.coords)
+    return CoeffSeq(coords=out, exact_to=min(len(out) - 1, c.exact_to + phi.length - 1))
+
+
+def _convolve_array(phi: ScalarSymbol | OpSymbol, coords: np.ndarray) -> np.ndarray:
+    """phi * c for coefficients of shape (length, dim) or a block (length, dim, m)."""
+    if isinstance(phi, OpSymbol) and phi.dim != coords.shape[1]:
+        raise DimensionMismatch(f"symbol dim {phi.dim} vs coefficient dim {coords.shape[1]}")
+    length = len(coords)
+    out = np.zeros((phi.length + length - 1,) + coords.shape[1:], dtype=np.complex128)
     if isinstance(phi, ScalarSymbol):
         for k, a in enumerate(phi.coeffs):
-            out[k:k + c.length] += a * c.coords
+            out[k:k + length] += a * coords
     else:
         for k in range(phi.length):
-            out[k:k + c.length] += c.coords @ phi.mats[k].T
-    return CoeffSeq(coords=out, exact_to=min(length - 1, c.exact_to + phi.length - 1))
+            # both moves are no-ops for one sequence, which keeps its old product
+            term = np.moveaxis(coords, 1, -1) @ phi.mats[k].T
+            out[k:k + length] += np.moveaxis(term, -1, 1)
+    return out
 
 
 def generation_raise(tree, A: np.ndarray, tol: float = 0.0) -> int:
@@ -270,11 +278,14 @@ def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> float:
 
     Component j of coefficient n expands to S^n e'_j, which lives in
     generation gen_index[j] + n; it is dropped when that passes the tree
-    depth.  Returns the dropped mass: the sum over n of the norms dropped.
+    depth.  coords has shape (length, dim) or is a block (length, dim, m).
+    Returns the dropped mass: the sum over n (and the block's columns) of the
+    norms dropped.
     """
     over = np.add.outer(np.arange(coords.shape[0]), basis.gen_index) > basis.tree.depth
+    over = over.reshape(over.shape + (1,) * (coords.ndim - 2))
     dropped = float(np.linalg.norm(np.where(over, coords, 0.0), axis=1).sum())
-    coords[over] = 0.0
+    coords[np.broadcast_to(over, coords.shape)] = 0.0
     return dropped
 
 
@@ -282,19 +293,17 @@ def _compressed_map_columns(S: ShiftOperator, basis: SeparatedBasis,
                             phi: ScalarSymbol | OpSymbol, d: int) -> tuple[np.ndarray, float, list[VertexId]]:
     """Matrix of f -> expansion of phi * coeffs(f) over unit vectors in V_{<=d}.
 
-    Coefficient components that would leave the truncation are dropped; the
-    total dropped mass is returned for the report.
+    One coefficient, convolution and layer pass over the block of all unit
+    vectors at once; the columns are a prefix of the breadth-first vertex
+    order.  Coefficient components that would leave the truncation are
+    dropped; the total dropped mass is returned for the report.
     """
     tree = S.tree
     cols = [v for v in tree.vertices if tree.generation[v] <= d]
-    out = np.zeros((tree.n_vertices, len(cols)), dtype=np.complex128)
-    dropped = 0.0
-    for ci, v in enumerate(cols):
-        c = analytic_coeffs(S, basis, L2Vector.basis(tree, v), order=tree.generation[v])
-        conv = convolve_with_coeffs(phi, c)
-        dropped += _drop_beyond_depth(conv.coords, basis)
-        out[:, ci] = expand_layers(S, basis, conv).data
-    return out, dropped, cols
+    conv = _convolve_array(
+        phi, _coeff_array(S, basis, np.eye(tree.n_vertices, len(cols), dtype=np.complex128), d))
+    dropped = _drop_beyond_depth(conv, basis)
+    return _layer_array(S, basis, conv), dropped, cols
 
 
 def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
@@ -455,20 +464,21 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
     Both paths are applied to random vectors with enough headroom that the
     image stays inside the truncation.
     """
-    from .model import reconstruct
+    from .model import CoefficientSystem, reconstruct
 
     tree = S.tree
     margin = (phi.length - 1) + basis.max_generation
     f_depth = tree.depth - margin
     if f_depth < 0:
         raise PreconditionFailed(f"symbol too long for depth {tree.depth}")
+    support = f_depth + phi.length - 1 + basis.max_generation
+    system = CoefficientSystem(S, basis, support, support)
     worst = 0.0
     for t in range(trials):
         f = L2Vector.random(tree, f_depth, stable_rng(seed, f"scalar-equiv-{t}"))
         direct = scalar_mult_apply(S, S.weights, phi, f)
         conv = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f, order=f_depth))
-        via_model = reconstruct(S, basis, conv,
-                                support_depth=f_depth + phi.length - 1 + basis.max_generation)
+        via_model = reconstruct(S, basis, conv, support_depth=support, system=system)
         worst = worst_of(worst, (direct - via_model).norm())
     return VerificationReport(
         name="scalar-equivalence", max_residual=worst, trials=trials,

@@ -147,24 +147,50 @@ class ShiftOperator:
         return float(np.sqrt(max(vals))) if vals else 0.0
 
 
+def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w shaped to scale the rows of x, an array of shape (n,) or (n, m)."""
+    return w.reshape(w.shape + (1,) * (x.ndim - 1))
+
+
+def _shift_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """S applied to x, a vector (n,) or a block (n, m) of column vectors."""
+    tree = S.tree
+    if np.any(x[tree.n_vertices - len(tree.generations[tree.depth]):]):
+        raise SupportOverflow("input touches the last generation")
+    out = np.zeros(x.shape, dtype=np.complex128)
+    out[S._child_idx] = _rowwise(S._wvec, x) * x[S._parent_idx]
+    return out
+
+
+def _adjoint_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """S* applied to x, a vector (n,) or a block (n, m) of column vectors."""
+    out = np.zeros(x.shape, dtype=np.complex128)
+    np.add.at(out, S._parent_idx, _rowwise(S._wvec, x) * x[S._child_idx])
+    return out
+
+
+def _left_inverse_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """L applied to x, a vector (n,) or a block (n, m) of column vectors."""
+    if S.lower_bound <= 0:
+        raise NotLeftInvertible("shift has no positive lower bound on the truncation")
+    out = _adjoint_array(S, x)
+    mask = S._ns > 0
+    out[mask] /= _rowwise(S._ns[mask], out)
+    return out
+
+
 def apply_shift(S: ShiftOperator, f: L2Vector) -> L2Vector:
     """(Sf)(v) = lambda_v f(parent v); zero at the root.
 
     The input must not touch the last stored generation, otherwise the image
     would leave the truncation.
     """
-    if f.support_depth() >= S.tree.depth:
-        raise SupportOverflow("input touches the last generation")
-    out = L2Vector.zero(S.tree)
-    out.data[S._child_idx] = S._wvec * f.data[S._parent_idx]
-    return out
+    return L2Vector(S.tree, _shift_array(S, f.data))
 
 
 def apply_adjoint(S: ShiftOperator, f: L2Vector) -> L2Vector:
     """(S*f)(u) = sum_{v child of u} lambda_v f(v)."""
-    out = L2Vector.zero(S.tree)
-    np.add.at(out.data, S._parent_idx, S._wvec * f.data[S._child_idx])
-    return out
+    return L2Vector(S.tree, _adjoint_array(S, f.data))
 
 
 def apply_left_inverse(S: ShiftOperator, f: L2Vector) -> L2Vector:
@@ -172,12 +198,7 @@ def apply_left_inverse(S: ShiftOperator, f: L2Vector) -> L2Vector:
 
     L inverts S from the left and kills the kernel of S*.
     """
-    if S.lower_bound <= 0:
-        raise NotLeftInvertible("shift has no positive lower bound on the truncation")
-    out = apply_adjoint(S, f)
-    mask = S._ns > 0
-    out.data[mask] /= S._ns[mask]
-    return out
+    return L2Vector(S.tree, _left_inverse_array(S, f.data))
 
 
 def apply_left_inverse_adjoint(S: ShiftOperator, f: L2Vector) -> L2Vector:
@@ -231,11 +252,19 @@ class SeparatedBasis:
 
     def coords(self, f: L2Vector) -> np.ndarray:
         """Coordinates <f, e'_j> of the kernel projection of f."""
-        return self.matrix @ f.data
+        return self._coords_array(f.data)
 
     def from_coords(self, c: np.ndarray) -> L2Vector:
         """Assemble sum_j c_j e'_j as a vertex-space vector."""
-        return L2Vector(self.tree, self._matrix_t @ np.asarray(c, dtype=np.complex128))
+        return L2Vector(self.tree, self._from_coords_array(np.asarray(c, dtype=np.complex128)))
+
+    def _coords_array(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of x, shape (n,) or (n, m), as (dim,) or (dim, m)."""
+        return self.matrix @ x
+
+    def _from_coords_array(self, c: np.ndarray) -> np.ndarray:
+        """Vertex-space vectors of coordinates c, shape (dim,) or (dim, m)."""
+        return self._matrix_t @ c
 
     def vector(self, j: int) -> L2Vector:
         row = np.asarray(self.matrix[j].todense()).ravel()

@@ -142,17 +142,28 @@ class WeightMap:
         return self.values[v]
 
 
+def _check_label(label) -> None:
+    """Vertex labels key dictionaries, so a list or an object label is malformed."""
+    try:
+        hash(label)
+    except TypeError:
+        raise MalformedSpec(f"vertex label {label!r} is not hashable") from None
+
+
 def build_tree(spec: TreeSpec) -> tuple[Tree, WeightMap]:
     """Validate a tree specification and assemble the tree plus its weight map.
 
-    Rejects duplicate edges, vertices with several parents, cycles, interior
-    leaves, vertices beyond the stated depth, and weights that are not
-    positive or whose square is not finite.
+    Rejects unhashable vertex labels, duplicate edges, vertices with several
+    parents, cycles, interior leaves, vertices beyond the stated depth, and
+    weights that are not positive or whose square is not finite.
     """
     children: dict[VertexId, list[VertexId]] = {}
     weights: dict[VertexId, float] = {}
     seen: set[tuple[VertexId, VertexId]] = set()
+    _check_label(spec.root)
     for u, v, w in spec.edges:
+        _check_label(u)
+        _check_label(v)
         if (u, v) in seen:
             raise MalformedSpec(f"duplicate edge {u!r} -> {v!r}")
         seen.add((u, v))

@@ -358,3 +358,34 @@ def test_reproducing_property_random_points(t2_shift):
             cur = ts.apply_left_inverse_adjoint(S, cur)
             acc = acc + (np.conj(lam) ** k) * cur
         assert abs(lhs - f.inner(acc)) < 1e-10
+
+
+def test_coefficient_system_matches_column_stack(t2_shift, t4_shift):
+    # the one block pass must give, bit for bit, the stack of per-vector
+    # coefficient sequences of the unit vectors
+    tree, weights = ts.generate_random_tree(5, 3, 3)
+    S_rand = ts.ShiftOperator(tree, weights)
+    cases = [t2_shift, t4_shift, (S_rand, ts.separated_kernel_basis(S_rand))]
+    for S, basis in cases:
+        depth = S.tree.depth
+        for support, order in ((depth, depth), (max(0, depth - 2), depth + 1)):
+            system = ts.CoefficientSystem(S, basis, support, order)
+            columns = [ts.analytic_coeffs(S, basis, ts.L2Vector.basis(S.tree, v),
+                                          order).coords.ravel()
+                       for v in system.columns]
+            assert np.array_equal(system.matrix, np.stack(columns, axis=1))
+
+
+def test_spectral_radius_norms_are_lower_bounds():
+    # each power-iteration norm stays below the dense singular value of L^k
+    # and, on this tree, within 1 % of it
+    depth = 20
+    tree, weights = ts.balanced_double_ray(depth, [1.0 + 1.0 / (m + 1) for m in range(depth)])
+    S = ts.ShiftOperator(tree, weights)
+    est = ts.spectral_radius_estimate(S)
+    lmat = ts.left_inverse_matrix(S)
+    power = np.eye(tree.n_vertices, dtype=np.complex128)
+    for k, got in enumerate(est.norms, start=1):
+        power = lmat @ power
+        dense = np.linalg.svd(power, compute_uv=False)[0]
+        assert dense * (1 - 0.01) <= got <= dense * (1 + 1e-12)

@@ -500,3 +500,22 @@ def test_power_path_norm_matches_dense():
                          lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
                          n_in, iters=150, rng=stable_rng(0, f"compressed-norm-{d}"))
         assert abs(got - want) <= 1e-8 * want
+
+
+def test_compressed_map_matches_symbol_map_per_vector():
+    # the block pass against the per-vector forward map, one unit vector at a
+    # time, for a scalar and an operator symbol that both drop mass
+    from treeshift.multiplier import _apply_symbol_map, _compressed_map_columns
+
+    d = 4
+    for S, basis, phi in _power_path_cases():
+        mat, dropped, cols = _compressed_map_columns(S, basis, phi, d)
+        per_vector = 0.0
+        for ci in range(len(cols)):
+            x = np.zeros(len(cols), dtype=np.complex128)
+            x[ci] = 1.0
+            image, drop = _apply_symbol_map(S, basis, phi, d, x)
+            assert np.linalg.norm(mat[:, ci] - image) <= 1e-13 * max(1.0, np.linalg.norm(image))
+            per_vector += drop
+        assert dropped > 0.0
+        assert abs(dropped - per_vector) <= 1e-13 * per_vector

@@ -42,6 +42,17 @@ def test_build_rejects_nonfinite_weight(w):
         ts.WeightMap(tree, {"a": 1.0, "b": w})
 
 
+@pytest.mark.parametrize("root, edges", [
+    (["r"], ((["r"], "a", 1.0),)),
+    ("r", (("r", {"x": 1}, 1.0),)),
+    ("r", (("r", "a", 1.0), (["a"], "b", 1.0))),
+])
+def test_build_rejects_unhashable_label(root, edges):
+    # labels from a JSON spec can be lists or objects
+    with pytest.raises(MalformedSpec, match="not hashable"):
+        ts.build_tree(ts.TreeSpec(depth=2, root=root, edges=edges))
+
+
 def test_build_rejects_duplicate_edge():
     spec = ts.TreeSpec(depth=2, root="r", edges=(
         ("r", "a", 1.0), ("r", "a", 2.0)))
