@@ -21,6 +21,7 @@ from .shift import (
     L2Vector,
     SeparatedBasis,
     ShiftOperator,
+    _left_inverse_adjoint_array,
     _left_inverse_array,
     _shift_array,
     apply_adjoint,
@@ -216,13 +217,9 @@ def _adjoint_power_stack(S: ShiftOperator, basis: SeparatedBasis, order: int) ->
     if n_vert * basis.dim > 2_000_000:
         raise DepthTooLargeForMemory(
             "kernel stacks would densify a tree too wide for this evaluation")
-    W = np.zeros((n_vert, basis.dim), dtype=np.complex128)
-    W += basis.matrix.T.toarray()
-    stacks = [W]
-    cur = [basis.vector(j) for j in range(basis.dim)]
+    stacks = [basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))]
     for _ in range(order):
-        cur = [apply_left_inverse_adjoint_truncating(S, vec) for vec in cur]
-        stacks.append(np.stack([vec.data for vec in cur], axis=1))
+        stacks.append(_left_inverse_adjoint_array(S, stacks[-1]))
     return stacks
 
 

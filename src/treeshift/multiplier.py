@@ -22,8 +22,8 @@ from .shift import (
     L2Vector,
     SeparatedBasis,
     ShiftOperator,
+    _left_inverse_adjoint_array,
     apply_adjoint,
-    apply_left_inverse_adjoint_truncating,
     apply_shift,
 )
 from .tree import VertexId
@@ -337,13 +337,11 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
             cprime += np.conj(phi.coeffs[k]) * ys[k:k + d + 1]
         else:
             cprime += ys[k:k + d + 1] @ phi.mats[k].conj()
-    out = L2Vector.zero(tree)
-    for n in range(d, -1, -1):
-        if n < d:
-            out = apply_left_inverse_adjoint_truncating(S, out)
-        out = out + basis.from_coords(cprime[n])
+    out = basis._from_coords_array(cprime[d])
+    for n in range(d - 1, -1, -1):
+        out = _left_inverse_adjoint_array(S, out) + basis._from_coords_array(cprime[n])
     n_in = sum(len(g) for g in tree.generations[:d + 1])
-    return out.data[:n_in]
+    return out[:n_in]
 
 
 def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
@@ -501,7 +499,7 @@ def two_ray_symbol(basis: SeparatedBasis, alpha: float,
     v0 = L2Vector.basis(tree, (0, 0))
     v1 = L2Vector.from_dict(tree, {(1, 1): alpha, (2, 1): -1.0})
     raw = np.stack([v0.data, v1.data], axis=1)
-    raw_coords = basis.matrix @ raw          # columns: raw vectors in e' coords
+    raw_coords = basis._coords_array(raw)    # columns: raw vectors in e' coords
     inv = np.linalg.inv(raw_coords)
     mats = []
     for B in blocks:

@@ -11,10 +11,9 @@ basis whose vectors each live in a single generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NotLeftInvertible, SupportOverflow
 from .tree import Tree, VertexId, WeightMap
@@ -201,15 +200,21 @@ def apply_left_inverse(S: ShiftOperator, f: L2Vector) -> L2Vector:
     return L2Vector(S.tree, _left_inverse_array(S, f.data))
 
 
-def apply_left_inverse_adjoint(S: ShiftOperator, f: L2Vector) -> L2Vector:
-    """(L*f)(v) = lambda_v f(parent v) / ||S e_{parent v}||^2; a weighted raise."""
+def _left_inverse_adjoint_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """L* applied to x, a vector (n,) or a block (n, m); last-generation entries drop out."""
     if S.lower_bound <= 0:
         raise NotLeftInvertible("shift has no positive lower bound on the truncation")
+    out = np.zeros(x.shape, dtype=np.complex128)
+    out[S._child_idx] = _rowwise(S._wvec, x) * x[S._parent_idx] / _rowwise(S._ns[S._parent_idx], x)
+    return out
+
+
+def apply_left_inverse_adjoint(S: ShiftOperator, f: L2Vector) -> L2Vector:
+    """(L*f)(v) = lambda_v f(parent v) / ||S e_{parent v}||^2; a weighted raise."""
+    out = _left_inverse_adjoint_array(S, f.data)
     if f.support_depth() >= S.tree.depth:
         raise SupportOverflow("input touches the last generation")
-    out = L2Vector.zero(S.tree)
-    out.data[S._child_idx] = S._wvec * f.data[S._parent_idx] / S._ns[S._parent_idx]
-    return out
+    return L2Vector(S.tree, out)
 
 
 def apply_left_inverse_adjoint_truncating(S: ShiftOperator, f: L2Vector) -> L2Vector:
@@ -218,37 +223,58 @@ def apply_left_inverse_adjoint_truncating(S: ShiftOperator, f: L2Vector) -> L2Ve
     This is the exact adjoint of the truncated L, used inside adjoint chains;
     the strict variant raises instead of dropping.
     """
-    if f.support_depth() >= S.tree.depth > 0:
-        kept = f.copy()
-        n_keep = sum(len(g) for g in S.tree.generations[:S.tree.depth])
-        kept.data[n_keep:] = 0.0
-        f = kept
-    return apply_left_inverse_adjoint(S, f)
+    return L2Vector(S.tree, _left_inverse_adjoint_array(S, f.data))
 
 
 class SeparatedBasis:
     """Orthonormal basis of ker S*, each vector supported in one generation.
 
-    Rows of `matrix` (real, sparse) are the basis vectors in the tree's vertex
-    order; gen_index[j] is the generation carrying vector j.  Vector 0 is the
-    root indicator; every branching vertex u contributes an orthonormal basis
-    of the orthogonal complement of its weight vector inside span(Chi(u)),
-    obtained by Gram-Schmidt on differences against the first child.
+    Vector 0 is the root indicator.  For the children v_0, ..., v_{k-1} of a
+    vertex, with weights lambda_i and Lambda_t = sum_{i<t} lambda_i^2, each v_t
+    with t >= 1 carries, in the tree's vertex order, the weighted Helmert vector
+    (lambda_t lambda_0, ..., lambda_t lambda_{t-1}, -Lambda_t) / sqrt(Lambda_t Lambda_{t+1})
+    on v_0, ..., v_t: Gram-Schmidt on lambda_t e_{v_0} - lambda_0 e_{v_t}, same
+    order and signs.  gen_index[j] is the generation carrying vector j.
     """
 
-    def __init__(self, tree: Tree, matrix: sp.csr_matrix, gen_index: np.ndarray) -> None:
-        self.tree = tree
-        self.matrix = matrix
-        self.gen_index = gen_index
-        self._matrix_t = matrix.T.tocsr()
+    def __init__(self, S: ShiftOperator) -> None:
+        self.tree = S.tree
+        # Vertex p > 0 sits at p - 1 in the shift's arrays, which run parent by parent.
+        parent = S._parent_idx
+        lam = np.concatenate(([0.0], S._wvec))
+        kids = np.flatnonzero(np.diff(parent, prepend=-1) == 0) + 1
+        # Per vector j: v_t, v_{t-1}, the weight of v_{t-1} and t; the root is vector 0.
+        self._pos = np.append(0, kids)
+        self._prev = np.append(0, kids - 1)
+        self._wprev = lam[self._prev]
+        self._rank = np.append(0, kids - 1 - np.searchsorted(parent, parent[kids - 1]))
+        # Running sums along a block in log2(size) doubling steps: at step d every
+        # vector j of rank t > d adds in the partial sum of vector j - d.
+        top = int(self._rank.max())
+        self._steps = [(np.flatnonzero(self._rank > d), d)
+                       for d in 2 ** np.arange(top.bit_length()) if d < top]
+        lam_sq = self._wprev ** 2
+        for rows, d in self._steps:
+            lam_sq[rows] += lam_sq[rows - d]
+        norm = np.sqrt(lam_sq[1:]) * np.sqrt(lam_sq[1:] + lam[kids] ** 2)
+        # Running-sum and v_t coefficients stay apart: combining them changes the rounding.
+        self._coef = np.append(0.0, lam[kids] / norm)
+        self._diag = np.append(1.0, -lam_sq[1:] / norm)
+        ends = np.cumsum([len(g) for g in self.tree.generations])
+        self.gen_index = np.searchsorted(ends, self._pos, side="right")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.gen_index.shape[0]
 
     @property
     def max_generation(self) -> int:
         return int(self.gen_index.max()) if self.dim else 0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense real (dim, n) matrix whose rows are the basis vectors."""
+        return self._coords_array(np.eye(self.tree.n_vertices))
 
     def coords(self, f: L2Vector) -> np.ndarray:
         """Coordinates <f, e'_j> of the kernel projection of f."""
@@ -260,57 +286,36 @@ class SeparatedBasis:
 
     def _coords_array(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x, shape (n,) or (n, m), as (dim,) or (dim, m)."""
-        return self.matrix @ x
+        partial = x[self._prev]
+        partial *= _rowwise(self._wprev, x)
+        for rows, d in self._steps:
+            partial[rows] += partial[rows - d]
+        partial *= _rowwise(self._coef, x)
+        partial += _rowwise(self._diag, x) * x[self._pos]
+        return partial
 
     def _from_coords_array(self, c: np.ndarray) -> np.ndarray:
         """Vertex-space vectors of coordinates c, shape (dim,) or (dim, m)."""
-        return self._matrix_t @ c
+        out = np.zeros((self.tree.n_vertices,) + c.shape[1:], dtype=np.result_type(c, np.float64))
+        out[self._pos] = _rowwise(self._diag, c) * c
+        tail = _rowwise(self._coef, c) * c
+        for rows, d in self._steps:
+            tail[rows - d] += tail[rows]
+        tail *= _rowwise(self._wprev, c)
+        out[self._prev] += tail
+        return out
 
     def vector(self, j: int) -> L2Vector:
-        row = np.asarray(self.matrix[j].todense()).ravel()
-        return L2Vector(self.tree, row.astype(np.complex128))
-
-    def __iter__(self) -> Iterator[L2Vector]:
-        return (self.vector(j) for j in range(self.dim))
+        out = L2Vector.zero(self.tree)
+        p, t = self._pos[j], self._rank[j]
+        out.data[p - t:p] = self._coef[j] * self._wprev[j - t + 1:j + 1]
+        out.data[p] = self._diag[j]
+        return out
 
 
 def separated_kernel_basis(S: ShiftOperator) -> SeparatedBasis:
     """Deterministic separated orthonormal basis of ker S* on the truncation."""
-    tree = S.tree
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    gens: list[int] = [0]
-    rows.append(0)
-    cols.append(tree.index[tree.root])
-    vals.append(1.0)
-    j = 1
-    for u in tree.vertices:
-        kids = tree.children[u]
-        if len(kids) < 2:
-            continue
-        idxs = np.array([tree.index[v] for v in kids], dtype=np.intp)
-        lam = np.array([S.weights[v] for v in kids], dtype=np.float64)
-        block: list[np.ndarray] = []
-        for t in range(1, len(kids)):
-            d = np.zeros(len(kids))
-            d[0] = lam[t]
-            d[t] = -lam[0]
-            # two Gram-Schmidt passes keep orthonormality at 1e-14
-            for _ in range(2):
-                for b in block:
-                    d -= np.dot(b, d) * b
-            d /= np.linalg.norm(d)
-            block.append(d)
-            rows.extend([j] * len(kids))
-            cols.extend(idxs.tolist())
-            vals.extend(d.tolist())
-            gens.append(tree.generation[u] + 1)
-            j += 1
-    matrix = sp.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))),
-        shape=(j, tree.n_vertices))
-    return SeparatedBasis(tree, matrix, np.array(gens, dtype=np.intp))
+    return SeparatedBasis(S)
 
 
 def project_kernel(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector) -> L2Vector:

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import collections
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import treeshift as ts
 from treeshift.cli import CHECK_REFS, Record, RunConfig, SUITES, main, run
@@ -223,3 +230,72 @@ def test_tolerance_override_fails_run(tmp_path):
     rows = read_jsonl(out)
     fails = [r for r in rows[:-1] if r["status"] == "fail"]
     assert fails and all("witness" in r for r in fails)
+
+
+def test_library_does_not_import_scipy():
+    # scipy is a test dependency only; a report must run without it
+    code = ("import sys\n"
+            "from treeshift.cli import RunConfig, run\n"
+            "run(RunConfig(suites=('core-identities',)))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    src = str(Path(ts.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+BAD_WEIGHTS = (0.0, -1.0, float("inf"), float("nan"), 1e200, "heavy", None)
+LABELS = (lambda i: f"v{i}", lambda i: i, lambda i: i + 0.5, lambda i: [i])
+
+
+@st.composite
+def tree_spec_payloads(draw):
+    """Tree-spec JSON payloads: random trees, chains and wide stars, with labels
+    of several JSON types, and sometimes a bad weight or a wrong stated depth."""
+    shape = draw(st.sampled_from(("random", "chain", "star")))
+    depth = draw(st.integers(0, 1 if shape == "star" else 4))
+    width = draw(st.integers(1, 40)) if shape == "star" else 1
+    labels = [draw(st.sampled_from(LABELS[:3] if draw(st.booleans()) else LABELS))]
+    edges, frontier, count = [], [0], 1
+    for _ in range(depth):
+        nxt = []
+        for u in frontier:
+            k = width if shape == "star" else 1 if shape == "chain" else draw(st.integers(1, 3))
+            for v in range(count, count + k):
+                labels.append(draw(st.sampled_from(LABELS[:3])))
+                weight = draw(st.floats(0.05, 20.0))
+                edges.append((u, v, weight))
+                nxt.append(v)
+            count += k
+        frontier = nxt
+    if edges and draw(st.booleans()):
+        at = draw(st.integers(0, len(edges) - 1))
+        u, v, _ = edges[at]
+        edges[at] = (u, v, draw(st.sampled_from(BAD_WEIGHTS)))
+    stated = depth + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    name = [labels[i](i) for i in range(count)]
+    return {"depth": stated, "root": name[0],
+            "edges": [{"from": name[u], "to": name[v], "weight": w} for u, v, w in edges]}
+
+
+@given(payload=tree_spec_payloads())
+def test_inspect_fuzzed_tree_specs(payload):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["inspect", "--tree", path])
+    assert rc in (0, 2)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        return
+    kids = collections.Counter(e["from"] for e in spec["edges"])
+    info = json.loads(out.getvalue())
+    assert info["kernel_dimension"] == 1 + sum(k - 1 for k in kids.values())

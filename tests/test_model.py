@@ -13,7 +13,7 @@ from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
 def oracle_coeffs(tree, weights, basis, f, order):
     """Dense-matrix route: stack basis-projections of L^n f."""
     lmat = oracle_left_inverse_matrix(tree, weights)
-    bmat = basis.matrix.toarray()
+    bmat = basis.matrix
     out = np.zeros((order + 1, basis.dim), dtype=np.complex128)
     cur = f.data.copy()
     for n in range(order + 1):
@@ -272,7 +272,8 @@ def test_coeffs_t4_depth3_sparse_oracle():
     got = ts.analytic_coeffs(S, basis, f)
     cur = f.data.copy()
     for m in range(tree.depth + 1):
-        want = basis.matrix @ cur
+        # row by row: building the dense basis matrix of this tree takes ~0.5 GB
+        want = np.array([basis.vector(j).data.real @ cur for j in range(basis.dim)])
         assert np.linalg.norm(got.coords[m] - want) < 1e-11
         cur = lmat @ cur
 

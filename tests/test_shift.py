@@ -104,13 +104,63 @@ def test_kernel_basis_matches_null_space(t4_depth2, random_tree_batch):
         null = scipy.linalg.null_space(smat.conj().T)
         assert null.shape[1] == basis.dim
         # every basis vector annihilated by S*, orthonormal, single generation
-        gram = (basis.matrix @ basis.matrix.T).toarray()
+        gram = basis.matrix @ basis.matrix.T
         assert np.linalg.norm(gram - np.eye(basis.dim)) < 1e-12
         for j in range(basis.dim):
             v = basis.vector(j)
             assert np.linalg.norm(smat.conj().T @ v.data) < 1e-12
             gens = {tree.generation[u] for u in v.as_dict()}
             assert gens == {int(basis.gen_index[j])}
+
+
+def gram_schmidt_kernel_rows(S):
+    """Reference kernel basis, one sibling block at a time, by Gram-Schmidt.
+
+    For the children v_0, ..., v_{k-1} of each vertex in vertex order, the
+    differences lambda_t e_{v_0} - lambda_0 e_{v_t} (t >= 1) are orthogonalised
+    twice against the earlier vectors of the block and normalised; the root
+    indicator comes first.
+    """
+    tree = S.tree
+    rows = [np.eye(1, tree.n_vertices, tree.index[tree.root])[0]]
+    for u in tree.vertices:
+        kids = tree.children[u]
+        idxs = [tree.index[v] for v in kids]
+        lam = np.array([S.weights[v] for v in kids])
+        block = []
+        for t in range(1, len(kids)):
+            d = np.zeros(len(kids))
+            d[0], d[t] = lam[t], -lam[0]
+            for _ in range(2):
+                for b in block:
+                    d -= np.dot(b, d) * b
+            d /= np.linalg.norm(d)
+            block.append(d)
+            row = np.zeros(tree.n_vertices)
+            row[idxs] = d
+            rows.append(row)
+    return np.array(rows)
+
+
+def test_closed_form_basis_matches_gram_schmidt(t2, t4_depth2, chain, random_tree_batch):
+    root_only = ts.generate_example("UNILATERAL", 0, [])
+    rng = stable_rng(40, "closed-form")
+    for tree, weights in [t2, t4_depth2, chain, root_only] + random_tree_batch:
+        S = ts.ShiftOperator(tree, weights)
+        basis = ts.separated_kernel_basis(S)
+        mat = basis.matrix
+        assert mat.shape == (basis.dim, tree.n_vertices)
+        assert np.abs(mat - gram_schmidt_kernel_rows(S)).max() <= 1e-15
+        for j in range(basis.dim):
+            assert np.array_equal(basis.vector(j).data, mat[j])
+        for cols in ((), (3,)):
+            x = rng.standard_normal((tree.n_vertices,) + cols) + 1j * rng.standard_normal(
+                (tree.n_vertices,) + cols)
+            c = rng.standard_normal((basis.dim,) + cols) + 1j * rng.standard_normal(
+                (basis.dim,) + cols)
+            assert np.abs(basis._coords_array(x) - mat @ x).max() <= 1e-15 * np.linalg.norm(x)
+            assert (np.abs(basis._from_coords_array(c) - mat.T @ c).max()
+                    <= 1e-15 * np.linalg.norm(c))
 
 
 def test_kernel_dimension_count(t4_depth2):
