@@ -211,12 +211,11 @@ def _suite_shimorin(config: RunConfig) -> list[Record]:
         S = sh.ShiftOperator(tree, weights)
         basis = sh.separated_kernel_basis(S)
         rng = stable_rng(config.seed, f"shimorin-{label}")
-        system = mod.CoefficientSystem(S, basis, tree.depth, tree.depth)
         worst_rt = 0.0
         for _ in range(10):
             f = sh.L2Vector.random(tree, tree.depth, rng)
             c = mod.analytic_coeffs(S, basis, f)
-            back = mod.reconstruct(S, basis, c, tree.depth, system=system)
+            back = mod.reconstruct(S, basis, c, tree.depth)
             worst_rt = worst_of(worst_rt, (back - f).norm())
         records.append(_record("model-round-trip",
                                "pass" if worst_rt <= config.tol_power else "fail",

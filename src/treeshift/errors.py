@@ -12,7 +12,7 @@ class MalformedSpec(TreeShiftError):
 
 
 class NonpositiveWeight(TreeShiftError):
-    """An edge weight is not positive, not finite, or too large to square."""
+    """An edge weight is not positive, not finite, or too large or too small to square."""
 
 
 class UnknownExample(TreeShiftError):
@@ -80,4 +80,4 @@ class ConfigError(TreeShiftError):
 
 
 class UnderdeterminedWarning(UserWarning):
-    """Coefficient inversion had null directions; minimal-norm solution returned."""
+    """Coefficient inversion had null directions; the zero extension was returned."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import kahan_mean_vectors, stable_rng, worst_of
 from .errors import DimensionMismatch, NotUnimodular, QuadratureTooCoarse
-from .model import CoefficientSystem, analytic_coeffs, reconstruct
+from .model import analytic_coeffs, reconstruct
 from .multiplier import (
     OpSymbol,
     ScalarSymbol,
@@ -133,11 +133,10 @@ def cesaro_convergence_experiment(S: ShiftOperator, basis: SeparatedBasis,
     margin = (scal.length - 1) + basis.max_generation
     f_depth = max(0, tree.depth - margin)
     support = min(tree.depth, f_depth + margin)
-    system = CoefficientSystem(S, basis, support, tree.depth)
 
     def apply_symbol(sym: ScalarSymbol, f: L2Vector) -> L2Vector:
         conv = convolve_with_coeffs(sym, analytic_coeffs(S, basis, f, order=f_depth))
-        return reconstruct(S, basis, conv, support, system=system)
+        return reconstruct(S, basis, conv, support)
 
     rows: list[ConvergenceRow] = []
     norm_estimates: dict[int, float] = {}
@@ -182,7 +181,6 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
     margin = (scal.length - 1) + basis.max_generation
     f_depth = max(0, tree.depth - margin)
     support = min(tree.depth, f_depth + margin)
-    system = CoefficientSystem(S, basis, support, tree.depth)
 
     if 0 <= k < scal.length:
         target_coeffs = np.zeros(k + 1, dtype=np.complex128)
@@ -201,13 +199,13 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
             rotated = ScalarSymbol(scal.coeffs * np.array(
                 [w ** n for n in range(scal.length)]))
             conv = convolve_with_coeffs(rotated, c)
-            g = reconstruct(S, basis, conv, support, system=system)
+            g = reconstruct(S, basis, conv, support)
             images.append(np.conj(w) ** k * g.data)
         avg = kahan_mean_vectors(images)
         if target_sym is None:
             target = np.zeros_like(avg)
         else:
             target = reconstruct(S, basis, convolve_with_coeffs(target_sym, c),
-                                 support, system=system).data
+                                 support).data
         worst = worst_of(worst, float(np.linalg.norm(avg - target)))
     return worst

@@ -3,9 +3,9 @@
 A vector f maps to the coefficient sequence n -> P_E L^n f, written in the
 separated-basis coordinates of E = ker S*.  The model inner product is always
 the pullback of the vertex-space inner product through reconstruction, never
-a series formula.  Reconstruction solves the stacked linear system with a
-minimal-norm least-squares solve; the exact layer expansion sum_n S^n c(n) is
-available separately and agrees on consistent inputs.
+a series formula.  Reconstruction is the Wold expansion f = sum_n S^n P_E L^n f
+of the analytic model: the Horner walk of expand_layers, cut to the support
+bound and certified by mapping the result back to coefficients.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import power_norm, stable_rng
-from .errors import Inconsistent, NotLeftInvertible, OutsideDisc, UnderdeterminedWarning
+from .errors import (
+    Inconsistent,
+    NotLeftInvertible,
+    OutsideDisc,
+    SupportOverflow,
+    UnderdeterminedWarning,
+)
 from .shift import (
     L2Vector,
     SeparatedBasis,
@@ -29,6 +35,7 @@ from .shift import (
     apply_left_inverse_adjoint,
     apply_left_inverse_adjoint_truncating,
 )
+from .tree import Tree
 
 RECONSTRUCT_TOL = 1e-8
 
@@ -124,43 +131,41 @@ def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray) ->
     return acc
 
 
-class CoefficientSystem:
-    """Stacked linear map f -> (P_E L^n f)_n on vectors supported in V_{<=d}.
+def _prefix_size(tree: Tree, depth: int) -> int:
+    """Number of vertices in V_{<=depth}, a prefix of the breadth-first order."""
+    return sum(len(g) for g in tree.generations[:max(0, depth + 1)])
 
-    Precomputes an SVD so many right-hand sides can be solved with one
-    factorisation; solutions are minimal-norm.  The columns are the unit
-    vectors of V_{<=d}, a prefix of the breadth-first vertex order, and the
-    matrix comes from one coefficient pass over all of them at once.
+
+class CoefficientSystem:
+    """Stacked linear map f -> (P_E L^n f)_{n<=order} on vectors supported in V_{<=d}.
+
+    Nothing is factorised: the map is inverted by the Wold expansion, one
+    Horner walk and one coefficient pass, O(order * n).  The columns are the
+    unit vectors of V_{<=d}, a prefix of the breadth-first vertex order.  The
+    kernel of the map is S^(order+1) V_{<=d-order-1}, so the rank falls below
+    the column count exactly when order < d.
     """
 
     def __init__(self, S: ShiftOperator, basis: SeparatedBasis, support_depth: int,
-                 order: int, rcond: float = 1e-12) -> None:
+                 order: int) -> None:
         tree = S.tree
         self.S = S
         self.basis = basis
         self.support_depth = min(support_depth, tree.depth)
         self.order = order
-        self.columns = [v for v in tree.vertices
-                        if tree.generation[v] <= self.support_depth]
-        ncols = len(self.columns)
-        # The unit block is not bound to a name, so it is freed before the SVD
-        # allocates its workspace (peak memory stays at the column loop's).
-        A = _coeff_array(S, basis, np.eye(tree.n_vertices, ncols, dtype=np.complex128),
-                         order).reshape((order + 1) * basis.dim, ncols)
-        self.matrix = A
-        u, s, vh = np.linalg.svd(A, full_matrices=False)
-        cutoff = rcond * (s[0] if s.size else 0.0)
-        self.rank = int(np.sum(s > cutoff))
-        self._u, self._s, self._vh = u, s, vh
+        self.columns = tree.vertices[:_prefix_size(tree, self.support_depth)]
+        self.rank = len(self.columns) - _prefix_size(tree, self.support_depth - order - 1)
 
     def solve(self, stacked: np.ndarray) -> tuple[np.ndarray, float]:
-        """Minimal-norm least-squares solution and its residual norm."""
-        proj = self._u.conj().T @ stacked
-        scaled = np.zeros_like(proj)
-        scaled[:self.rank] = proj[:self.rank] / self._s[:self.rank]
-        x = self._vh.conj().T @ scaled
-        residual = float(np.linalg.norm(self.matrix @ x - stacked))
-        return x, residual
+        """sum_n S^n c(n) cut to V_{<=d}, and the norm of its coefficient misfit.
+
+        Raises SupportOverflow when a layer would leave the truncation.
+        """
+        S, basis = self.S, self.basis
+        g = _layer_array(S, basis, stacked.reshape(self.order + 1, basis.dim))
+        g[len(self.columns):] = 0
+        misfit = _coeff_array(S, basis, g, self.order).ravel() - stacked
+        return g[:len(self.columns)], float(np.linalg.norm(misfit))
 
     def to_vector(self, x: np.ndarray) -> L2Vector:
         out = L2Vector.zero(self.S.tree)
@@ -172,28 +177,36 @@ def reconstruct(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq,
                 support_depth: int, *, system: CoefficientSystem | None = None) -> L2Vector:
     """Recover g with P_E L^n g = c(n) for all n, supported in V_{<=support_depth}.
 
-    Returns the minimal-norm least-squares solution.  Raises Inconsistent when
-    the residual exceeds tolerance; warns (and still returns the minimal-norm
-    point) if the system has null directions within the support bound.
+    g is the Wold expansion sum_n S^n c(n), cut to the support bound.  Raises
+    Inconsistent when the coefficients are not finite, when a layer would
+    leave the truncation, or when the coefficients of g miss c beyond
+    tolerance.  A system whose order is below the support depth has null
+    directions: reconstruct warns and returns the zero extension
+    sum_{n<=order} S^n c(n).
 
-    Coefficient sequences are zero-extensions, so the system is always built
-    out to the support depth; that makes the coefficient map injective and the
-    solution unique whenever the data is consistent.
+    Without a system one is built out to the support depth, so the coefficient
+    map is injective and the solution unique whenever the data is consistent.
     """
+    if not np.all(np.isfinite(c.coords)):
+        raise Inconsistent("coefficients are not finite")
     if system is None:
         system = CoefficientSystem(S, basis, support_depth,
                                    max(c.length - 1, support_depth))
     stacked = np.zeros((system.order + 1) * basis.dim, dtype=np.complex128)
     upto = min(c.length, system.order + 1)
     stacked[:upto * basis.dim] = c.coords[:upto].ravel()
-    x, residual = system.solve(stacked)
+    try:
+        x, residual = system.solve(stacked)
+    except SupportOverflow as exc:
+        raise Inconsistent(
+            f"the layers of these coefficients leave the truncation ({exc})") from exc
     scale = max(1.0, float(np.linalg.norm(stacked)))
-    if residual > RECONSTRUCT_TOL * scale:
+    if not residual <= RECONSTRUCT_TOL * scale:
         raise Inconsistent(
             f"no vector of support depth {support_depth} has these coefficients "
             f"(residual {residual:.3e})")
     if system.rank < len(system.columns):
-        warnings.warn("coefficient system has null directions; minimal-norm solution",
+        warnings.warn("coefficient system has null directions; zero extension returned",
                       UnderdeterminedWarning)
     return system.to_vector(x)
 

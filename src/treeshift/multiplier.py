@@ -462,7 +462,7 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
     Both paths are applied to random vectors with enough headroom that the
     image stays inside the truncation.
     """
-    from .model import CoefficientSystem, reconstruct
+    from .model import reconstruct
 
     tree = S.tree
     margin = (phi.length - 1) + basis.max_generation
@@ -470,13 +470,12 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
     if f_depth < 0:
         raise PreconditionFailed(f"symbol too long for depth {tree.depth}")
     support = f_depth + phi.length - 1 + basis.max_generation
-    system = CoefficientSystem(S, basis, support, support)
     worst = 0.0
     for t in range(trials):
         f = L2Vector.random(tree, f_depth, stable_rng(seed, f"scalar-equiv-{t}"))
         direct = scalar_mult_apply(S, S.weights, phi, f)
         conv = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f, order=f_depth))
-        via_model = reconstruct(S, basis, conv, support_depth=support, system=system)
+        via_model = reconstruct(S, basis, conv, support_depth=support)
         worst = worst_of(worst, (direct - via_model).norm())
     return VerificationReport(
         name="scalar-equivalence", max_residual=worst, trials=trials,

@@ -133,6 +133,9 @@ class ShiftOperator:
         ns = np.zeros(n, dtype=np.float64)
         np.add.at(ns, parent_idx, wvec ** 2)
         self._ns = ns
+        # No vertex above the last generation is a leaf, so these vertices, a
+        # prefix of the breadth-first order, are exactly those with ns > 0.
+        self._n_internal = n - len(tree.generations[tree.depth])
         self.norm_squares = {
             u: float(ns[tree.index[u]])
             for u in tree.vertices if tree.children[u]}
@@ -153,8 +156,7 @@ def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _shift_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
     """S applied to x, a vector (n,) or a block (n, m) of column vectors."""
-    tree = S.tree
-    if np.any(x[tree.n_vertices - len(tree.generations[tree.depth]):]):
+    if np.any(x[S._n_internal:]):
         raise SupportOverflow("input touches the last generation")
     out = np.zeros(x.shape, dtype=np.complex128)
     out[S._child_idx] = _rowwise(S._wvec, x) * x[S._parent_idx]
@@ -173,8 +175,8 @@ def _left_inverse_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
     if S.lower_bound <= 0:
         raise NotLeftInvertible("shift has no positive lower bound on the truncation")
     out = _adjoint_array(S, x)
-    mask = S._ns > 0
-    out[mask] /= _rowwise(S._ns[mask], out)
+    k = S._n_internal
+    out[:k] /= _rowwise(S._ns[:k], out)
     return out
 
 

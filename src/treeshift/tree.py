@@ -118,8 +118,8 @@ class Tree:
 
 
 def _usable_weight(w: float) -> bool:
-    """Positive, finite and with a finite square (S*S holds squared weights)."""
-    return w > 0 and math.isfinite(w * w)
+    """Positive, finite and with a finite, nonzero square (S*S holds squared weights)."""
+    return w > 0 and math.isfinite(w * w) and w * w > 0
 
 
 class WeightMap:
@@ -133,7 +133,8 @@ class WeightMap:
             if w is None:
                 raise MalformedSpec(f"missing weight for vertex {v!r}")
             if not _usable_weight(w):
-                raise NonpositiveWeight(f"weight at {v!r} is {w!r}, not a positive finite number")
+                raise NonpositiveWeight(f"weight at {v!r} is {w!r}; a weight and its square "
+                                        "must be positive and finite")
         self.tree = tree
         self.values: dict[VertexId, float] = {
             v: float(weights[v]) for v in tree.vertices if v != tree.root}
@@ -171,7 +172,8 @@ def build_tree(spec: TreeSpec) -> tuple[Tree, WeightMap]:
             raise MalformedSpec("root cannot have a parent")
         if not _usable_weight(w):
             raise NonpositiveWeight(
-                f"weight on edge {u!r} -> {v!r} is {w!r}, not a positive finite number")
+                f"weight on edge {u!r} -> {v!r} is {w!r}; a weight and its square "
+                "must be positive and finite")
         children.setdefault(u, []).append(v)
         children.setdefault(v, [])
         weights[v] = float(w)
@@ -303,20 +305,25 @@ def balanced_double_ray(depth: int, generation_norms: Sequence[float]) -> tuple[
     return tree, WeightMap(tree, weights)
 
 
+# Odds of 1, 2 and 3 children per vertex in generate_random_tree.
+_BRANCHING_ODDS = (0.55, 0.3, 0.15)
+
+
 def generate_random_tree(depth: int, max_branching: int, seed: int,
                          weight_range: tuple[float, float] = (0.5, 2.0)) -> tuple[Tree, WeightMap]:
     """Random locally finite tree with branching <= max_branching and random weights.
 
     Branching counts are drawn with probabilities favouring single children so
     the vertex count stays at desk scale; deterministic for a fixed seed.
+    max_branching runs from 1 to 3, the length of the odds table.
     """
     from ._util import stable_rng
 
-    if max_branching < 1:
-        raise BadParams("max_branching must be >= 1")
+    if not 1 <= max_branching <= len(_BRANCHING_ODDS):
+        raise BadParams(f"max_branching must be between 1 and {len(_BRANCHING_ODDS)}")
     rng = stable_rng(seed, "random-tree")
     counts = list(range(1, max_branching + 1))
-    probs = [0.55, 0.3, 0.15][:max_branching]
+    probs = _BRANCHING_ODDS[:max_branching]
     probs = [p / sum(probs) for p in probs]
     lo, hi = weight_range
     children: dict[VertexId, list[VertexId]] = {}

@@ -75,9 +75,9 @@ def test_round_trip(t2_shift, chain_shift, t4_shift):
         for _ in range(20):
             f = ts.L2Vector.random(tree, tree.depth, rng)
             c = ts.analytic_coeffs(S, basis, f)
-            via_lstsq = ts.reconstruct(S, basis, c, tree.depth)
+            via_reconstruct = ts.reconstruct(S, basis, c, tree.depth)
             via_layers = ts.expand_layers(S, basis, c)
-            assert (via_lstsq - f).norm() < 1e-10
+            assert (via_reconstruct - f).norm() < 1e-10
             assert (via_layers - f).norm() < 1e-10
 
 
@@ -102,11 +102,25 @@ def test_reconstruct_forward_check(t2_shift):
 
 def test_reconstruct_inconsistent(t2_shift):
     S, basis = t2_shift
+    depth = S.tree.depth
+    cases = []
     # no vector supported at the root alone has a nonzero first coefficient
     coords = np.zeros((2, basis.dim), dtype=np.complex128)
     coords[1, 0] = 1.0
-    with pytest.raises(Inconsistent):
-        ts.reconstruct(S, basis, ts.CoeffSeq(coords, 1), 0)
+    cases.append((coords, 0))
+    # a generation-1 kernel vector shifted depth times leaves the truncation
+    coords = np.zeros((depth + 1, basis.dim), dtype=np.complex128)
+    coords[depth, int(np.flatnonzero(basis.gen_index == 1)[0])] = 1.0
+    cases.append((coords, depth))
+    # coefficients that are not finite
+    for bad in (float("nan"), float("inf")):
+        coords = np.zeros((3, basis.dim), dtype=np.complex128)
+        coords[0, 0] = 1.0
+        coords[1, 0] = bad
+        cases.append((coords, depth))
+    for coords, support in cases:
+        with pytest.raises(Inconsistent):
+            ts.reconstruct(S, basis, ts.CoeffSeq(coords, coords.shape[0] - 1), support)
 
 
 def test_expand_layers_overflow(t2_shift):
@@ -308,8 +322,8 @@ def test_expand_layers_matches_reconstruct_on_synthetic(t2_shift):
     coords[4, 0] = -1.3j
     c = ts.CoeffSeq(coords, 4)
     via_layers = ts.expand_layers(S, basis, c)
-    via_lstsq = ts.reconstruct(S, basis, c, support_depth=5)
-    assert (via_layers - via_lstsq).norm() < 1e-11
+    via_reconstruct = ts.reconstruct(S, basis, c, support_depth=5)
+    assert (via_layers - via_reconstruct).norm() < 1e-11
 
 
 def test_coeffseq_json_round_trip():
@@ -321,8 +335,8 @@ def test_coeffseq_json_round_trip():
 
 
 def test_reconstruct_underdetermined_warning(t2_shift):
-    # a caller-supplied short system leaves deep layers free; the minimal-norm
-    # point is returned with a warning
+    # a caller-supplied short system leaves deep layers free; the zero
+    # extension sum_{n<=1} S^n c(n) is returned with a warning
     S, basis = t2_shift
     from treeshift.errors import UnderdeterminedWarning
 
@@ -336,6 +350,7 @@ def test_reconstruct_underdetermined_warning(t2_shift):
         g = ts.reconstruct(S, basis, c, 3, system=system)
     back = ts.analytic_coeffs(S, basis, g)
     assert np.linalg.norm(back.coords[:2] - coords) < 1e-11
+    assert np.array_equal(g.data, ts.expand_layers(S, basis, c).data)
 
 
 def test_reproducing_property_random_points(t2_shift):
@@ -361,20 +376,31 @@ def test_reproducing_property_random_points(t2_shift):
         assert abs(lhs - f.inner(acc)) < 1e-10
 
 
-def test_coefficient_system_matches_column_stack(t2_shift, t4_shift):
-    # the one block pass must give, bit for bit, the stack of per-vector
-    # coefficient sequences of the unit vectors
+def test_coefficient_system_inverts_column_stack(t2_shift, t4_shift):
+    # the per-vector coefficient sequences of the unit vectors of V_{<=d},
+    # stacked, are the dense map: its rank is the closed form, and the Wold
+    # expansion of each column gives back its unit vector
     tree, weights = ts.generate_random_tree(5, 3, 3)
     S_rand = ts.ShiftOperator(tree, weights)
     cases = [t2_shift, t4_shift, (S_rand, ts.separated_kernel_basis(S_rand))]
     for S, basis in cases:
         depth = S.tree.depth
-        for support, order in ((depth, depth), (max(0, depth - 2), depth + 1)):
+        for support, order in ((depth, depth), (max(0, depth - 2), depth + 1),
+                               (depth, depth - 1), (depth, 0)):
             system = ts.CoefficientSystem(S, basis, support, order)
-            columns = [ts.analytic_coeffs(S, basis, ts.L2Vector.basis(S.tree, v),
-                                          order).coords.ravel()
-                       for v in system.columns]
-            assert np.array_equal(system.matrix, np.stack(columns, axis=1))
+            stack = np.stack([ts.analytic_coeffs(S, basis, ts.L2Vector.basis(S.tree, v),
+                                                 order).coords.ravel()
+                              for v in system.columns], axis=1)
+            assert system.rank == np.linalg.matrix_rank(stack)
+            if order < support:
+                assert system.rank < len(system.columns)
+                continue
+            for k in range(len(system.columns)):
+                x, residual = system.solve(stack[:, k])
+                unit = np.zeros(len(system.columns))
+                unit[k] = 1.0
+                assert np.linalg.norm(x - unit) < 1e-12
+                assert residual < 1e-12
 
 
 def test_spectral_radius_norms_are_lower_bounds():

@@ -30,9 +30,10 @@ def test_build_rejects_zero_weight():
         ts.build_tree(spec)
 
 
-@pytest.mark.parametrize("w", [float("inf"), float("nan"), 1e200])
+@pytest.mark.parametrize("w", [float("inf"), float("nan"), 1e200, 1e-170])
 def test_build_rejects_nonfinite_weight(w):
-    # 1e200 is finite, but its square, which S*S holds, is not
+    # 1e200 is finite, but its square, which S*S holds, is not; the square of
+    # 1e-170 underflows to 0
     spec = ts.TreeSpec(depth=2, root="r", edges=(("r", "a", 1.0), ("a", "b", w)))
     with pytest.raises(NonpositiveWeight):
         ts.build_tree(spec)
@@ -199,6 +200,13 @@ def test_balanced_double_ray_norms():
         if tree.children[u]:
             assert np.sqrt(S.norm_squares[u]) == pytest.approx(
                 norms[tree.generation[u]], rel=1e-14)
+
+
+def test_random_tree_rejects_wide_branching():
+    # the odds table covers 1 to 3 children
+    for bad in (0, 4, 6):
+        with pytest.raises(BadParams):
+            ts.generate_random_tree(6, bad, 0)
 
 
 def test_random_tree_reproducible():
