@@ -81,11 +81,10 @@ def balanced_inner_product_check(S: ShiftOperator, f: L2Vector, g: L2Vector,
         raise NotBalanced(f"witness pair {witness}")
     tree = S.tree
     kf = _single_generation(f)
-    kg = _single_generation(g)
+    _single_generation(g)
     if tree.generation[u_prime] != kf + n:
         raise WrongGeneration(
             f"u' sits in generation {tree.generation[u_prime]}, expected {kf + n}")
-    _single_generation(g)
     sf, sg = f, g
     for _ in range(n):
         sf = apply_shift(S, sf)

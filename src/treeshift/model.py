@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import power_norm, stable_rng
 from .errors import (
     Inconsistent,
-    NotLeftInvertible,
     OutsideDisc,
     SupportOverflow,
     UnderdeterminedWarning,
@@ -35,7 +33,7 @@ from .shift import (
     apply_left_inverse_adjoint,
     apply_left_inverse_adjoint_truncating,
 )
-from .tree import Tree
+from .tree import _prefix_size
 
 RECONSTRUCT_TOL = 1e-8
 
@@ -129,11 +127,6 @@ def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray) ->
             acc = _shift_array(S, acc)
         acc = acc + basis._from_coords_array(coords[n])
     return acc
-
-
-def _prefix_size(tree: Tree, depth: int) -> int:
-    """Number of vertices in V_{<=depth}, a prefix of the breadth-first order."""
-    return sum(len(g) for g in tree.generations[:max(0, depth + 1)])
 
 
 class CoefficientSystem:
@@ -237,45 +230,35 @@ def _adjoint_power_stack(S: ShiftOperator, basis: SeparatedBasis, order: int) ->
 
 
 def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "SpectralRadiusEstimate":
-    """Estimate of the spectral radius of L from ||L^n||^(1/n) on the truncation.
+    """Estimate of the spectral radius of L from ||L^k||^(1/k) on the truncation.
 
-    Each operator norm comes from a 60-step power iteration; the start
-    vectors are drawn in turn from one seeded stream.  Each entry of `norms`
-    is a power-iteration lower bound on ||L^k||, not an upper bound: on the
-    balanced double ray at depth 20 it reads up to 0.8 % below the dense
-    singular value.  The estimate is the maximum of the last five root-norms;
-    it is not a certified bound on the spectral radius, and the disc it
-    trusts can be slightly too large.
+    L^k sends e_v to a multiple of e_{par^k v}, so L^k L^k* is diagonal and
+    ||L^k||^2 is the largest entry of its diagonal d_k = L^k L^k* 1.  From
+    L^k L^k* = L (L^(k-1) L^(k-1)*) L* follows that d_k is L applied to the
+    entrywise product of d_(k-1) and L*1, one vector pass per power, so each
+    entry of `norms` is the exact operator norm on the truncation.  The estimate is the maximum of the last five
+    root-norms; it is not a certified bound on the spectral radius.
     """
-    if S.lower_bound <= 0:
-        raise NotLeftInvertible("shift has no positive lower bound on the truncation")
-    depth = S.tree.depth
-    steps = max(1, min(iterations, depth))
-    rng = stable_rng(0xC0FFEE, "spectral-radius")
+    tree = S.tree
+    steps = max(1, min(iterations, tree.depth))
+    diag = L2Vector(tree, np.ones(tree.n_vertices, dtype=np.complex128))
+    ratio = apply_left_inverse_adjoint_truncating(S, diag).data
     norms: list[float] = []
     roots: list[float] = []
     for k in range(1, steps + 1):
-        def matvec(x: np.ndarray, k: int = k) -> np.ndarray:
-            v = L2Vector(S.tree, x.astype(np.complex128))
-            for _ in range(k):
-                v = apply_left_inverse(S, v)
-            return v.data
-
-        def rmatvec(y: np.ndarray, k: int = k) -> np.ndarray:
-            v = L2Vector(S.tree, y.astype(np.complex128))
-            for _ in range(k):
-                v = apply_left_inverse_adjoint_truncating(S, v)
-            return v.data
-
-        best = power_norm(matvec, rmatvec, S.tree.n_vertices, iters=60, rng=rng)
-        norms.append(best)
-        roots.append(best ** (1.0 / k) if best > 0 else 0.0)
+        diag = apply_left_inverse(S, L2Vector(tree, diag.data * ratio))
+        norm = float(np.sqrt(np.max(diag.data.real)))
+        norms.append(norm)
+        roots.append(norm ** (1.0 / k) if norm > 0 else 0.0)
     estimate = max(roots[-5:]) if roots else 0.0
     return SpectralRadiusEstimate(estimate=estimate, norms=norms, roots=roots)
 
 
 @dataclass
 class SpectralRadiusEstimate:
+    """Exact norms ||L^k|| for k = 1..len(norms), their k-th roots, and the
+    maximum of the last five roots as an uncertified spectral-radius estimate."""
+
     estimate: float
     norms: list[float]
     roots: list[float]

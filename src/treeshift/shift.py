@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NotLeftInvertible, SupportOverflow
-from .tree import Tree, VertexId, WeightMap
+from .tree import Tree, VertexId, WeightMap, _prefix_size
 
 
 @dataclass
@@ -52,7 +52,7 @@ class L2Vector:
                *, normalize: bool = True) -> "L2Vector":
         """Random complex vector supported in generations <= max_generation."""
         out = cls.zero(tree)
-        n = sum(len(g) for g in tree.generations[:max_generation + 1])
+        n = _prefix_size(tree, max_generation)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         out.data[:n] = vals
         if normalize:

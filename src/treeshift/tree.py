@@ -117,6 +117,11 @@ class Tree:
             frontier = nxt
 
 
+def _prefix_size(tree: Tree, depth: int) -> int:
+    """Number of vertices in V_{<=depth}, a prefix of the breadth-first order."""
+    return sum(len(g) for g in tree.generations[:max(0, depth + 1)])
+
+
 def _usable_weight(w: float) -> bool:
     """Positive, finite and with a finite, nonzero square (S*S holds squared weights)."""
     return w > 0 and math.isfinite(w * w) and w * w > 0

@@ -258,6 +258,8 @@ def test_trivial_tree_not_left_invertible():
     assert S.lower_bound == 0.0
     with pytest.raises(ts.errors.NotLeftInvertible):
         ts.apply_left_inverse(S, ts.L2Vector.zero(tree))
+    with pytest.raises(ts.errors.NotLeftInvertible):
+        ts.spectral_radius_estimate(S)
 
 
 def test_two_ray_shift_orbits(t2_shift, t2):
