@@ -29,6 +29,7 @@ from .shift import (
     L2Vector,
     SeparatedBasis,
     ShiftOperator,
+    _shift_array,
     apply_shift,
     is_balanced,
 )
@@ -114,13 +115,18 @@ class WoldDecomposition:
     residual: float
 
     def layer_norms(self, S: ShiftOperator) -> list[float]:
-        out = []
-        for n, f_n in enumerate(self.parts):
-            cur = f_n
-            for _ in range(n):
-                cur = apply_shift(S, cur)
-            out.append(cur.norm())
-        return out
+        """Norms ||S^n f_n||, one per part.
+
+        The parts are the columns of one block; pass n shifts the columns of
+        parts n, n+1, ... once more, so part n has been shifted n times.
+        Raises SupportOverflow when a shifted part would leave the truncation.
+        """
+        if not self.parts:
+            return []
+        block = np.stack([f_n.data for f_n in self.parts], axis=1)
+        for n in range(1, len(self.parts)):
+            block[:, n:] = _shift_array(S, block[:, n:])
+        return [float(np.linalg.norm(block[:, n])) for n in range(len(self.parts))]
 
 
 def wold_decompose(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector) -> WoldDecomposition:

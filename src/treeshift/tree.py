@@ -225,6 +225,10 @@ def tree_to_spec(tree: Tree, weights: WeightMap, *, stringify: bool = True) -> T
     return TreeSpec(depth=tree.depth, root=label(tree.root), edges=edges)
 
 
+# Names generate_example accepts, in any letter case.
+EXAMPLES = ("T2", "T4", "UNILATERAL")
+
+
 def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tuple[Tree, WeightMap]:
     """Build one of the named example trees.
 

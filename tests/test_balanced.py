@@ -5,7 +5,7 @@ import pytest
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import NotBalanced, PreconditionFailed, WrongGeneration
+from treeshift.errors import NotBalanced, PreconditionFailed, SupportOverflow, WrongGeneration
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,23 @@ def test_wold_parseval(double_ray, t4_shift):
             norms = dec.layer_norms(S)
             assert abs(sum(x ** 2 for x in norms) - f.norm() ** 2) < 1e-10
             assert dec.residual < 1e-10
+
+
+def test_wold_layer_norms_match_per_part_shifts(double_ray):
+    S, basis, _ = double_ray
+    f = ts.L2Vector.random(S.tree, S.tree.depth, stable_rng(4, "wold-norms"))
+    dec = ts.wold_decompose(S, basis, f)
+    expected = []
+    for n, part in enumerate(dec.parts):
+        for _ in range(n):
+            part = ts.apply_shift(S, part)
+        expected.append(part.norm())
+    assert dec.layer_norms(S) == expected
+    top = S.tree.generations[S.tree.depth][0]
+    lifted = ts.WoldDecomposition(parts=[basis.vector(0), ts.L2Vector.basis(S.tree, top)],
+                                  residual=0.0)
+    with pytest.raises(SupportOverflow):
+        lifted.layer_norms(S)
 
 
 def test_wold_layers_orthogonal_dense(double_ray):

@@ -10,10 +10,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import treeshift as ts
+from treeshift import cli, shift
 from treeshift.cli import CHECK_REFS, Record, RunConfig, SUITES, main, run
 from treeshift.errors import ConfigError
 
@@ -131,6 +133,27 @@ def test_cli_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--example", "T9"],
+    ["--alpha", "nan"],
+    ["--tol-power", "nan"],
+    ["--tol-alg", "inf"],
+    ["--slope-threshold", "inf"],
+    ["--tol-alg=-1e-12"],
+])
+def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_SUITE_FUNCS", {
+        name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
+    rc = main(["run", *args])
+    assert rc == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError")
+
+
 def test_cli_rejects_infinite_weight(tmp_path, capsys):
     spec = tmp_path / "inf.json"
     spec.write_text(json.dumps({"depth": 2, "root": "r", "edges": [
@@ -207,6 +230,62 @@ def test_tolerance_override_fails_run(tmp_path):
     rows = read_jsonl(out)
     fails = [r for r in rows[:-1] if r["status"] == "fail"]
     assert fails and all("witness" in r for r in fails)
+
+
+def _annihilation_specs():
+    """Trees whose sibling sets run from 1 to 40 wide, as tree specs."""
+    yield "t2", ts.tree_to_spec(*ts.generate_example("T2", 12, [0.5]))
+    yield "t4", ts.tree_to_spec(*ts.generate_example("T4", 2))
+    yield "chain", ts.tree_to_spec(*ts.generate_example("UNILATERAL", 4, [0.5, 2.0, 3.0, 0.7]))
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, size=40)
+    yield "star", ts.TreeSpec(depth=1, root="r", edges=tuple(
+        ("r", f"c{i}", float(w)) for i, w in enumerate(weights)))
+    for seed in (1, 2, 3):
+        yield f"random-{seed}", ts.tree_to_spec(*ts.generate_random_tree(6, 3, seed))
+
+
+def test_kernel_annihilation_rank_passes_match_per_vector(tmp_path):
+    for label, spec in _annihilation_specs():
+        path = tmp_path / f"{label}.json"
+        ts.save_tree_spec(spec, str(path))
+        report = run(RunConfig(tree_path=str(path), suites=("core-identities",)))
+        got = next(r.residual for r in report.records if r.name == "kernel-annihilation")
+        S = ts.ShiftOperator(*ts.build_tree(ts.load_tree_spec(str(path))))
+        basis = ts.separated_kernel_basis(S)
+        # The per-vector loop the suite used to run, kept as the oracle.
+        worst = 0.0
+        for j in range(basis.dim):
+            worst = max(worst, ts.apply_left_inverse(S, basis.vector(j)).norm())
+        assert got == worst, label
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_core_identities_makes_one_left_inverse_pass_per_rank(monkeypatch):
+    calls = _count_calls(monkeypatch, shift, "_left_inverse_array")
+    report = run(RunConfig(example="T4", depth=3, suites=("core-identities",)))
+    assert not report.failed
+    # 20 trials with two L passes each, then ranks 0..63 under the 64 children
+    # of each generation-2 vertex.
+    assert len(calls) == 40 + 64
+
+
+def test_example_projection_carries_the_left_iterate(monkeypatch):
+    calls = _count_calls(monkeypatch, shift, "apply_left_inverse")
+    report = run(RunConfig(suites=("example-t2",)))
+    assert not report.failed
+    # 50 vectors, n = 1..13 on the two-ray tree at depth 14.
+    assert len(calls) == 50 * 13
 
 
 def test_library_does_not_import_scipy():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,16 +11,39 @@ from pathlib import Path
 import pytest
 
 import treeshift as ts
+from treeshift.cli import RunConfig, run
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["cesaro_decay.py", "divergence_scan.py"])
-def test_script_runs_with_defaults(name):
+def _run_script(name, *args):
     src = str(Path(ts.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, str(SCRIPTS / name)], env=env,
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["cesaro_decay.py", "divergence_scan.py"])
+def test_script_runs_with_defaults(name):
+    done = _run_script(name)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_diff_reports_flags_a_status_change(tmp_path):
+    old, same, flipped = (tmp_path / f"{n}.jsonl" for n in ("old", "same", "flipped"))
+    run(RunConfig(suites=("core-identities",), out=str(old)))
+    same.write_text(old.read_text())
+    rows = [json.loads(line) for line in old.read_text().splitlines()]
+    rows[0]["status"] = "fail"
+    flipped.write_text("".join(json.dumps(r) + "\n" for r in rows))
+
+    done = _run_script("diff_reports.py", str(old), str(same))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].endswith(" 0 differences")
+
+    done = _run_script("diff_reports.py", str(old), str(flipped))
+    assert done.returncode == 1, done.stderr
+    key = f"{rows[0]['name']}@{rows[0]['tree']}#1"
+    assert done.stdout.splitlines()[0] == f"status {key}: pass -> fail"
