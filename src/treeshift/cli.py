@@ -499,6 +499,11 @@ _SUITE_FUNCS = {
 }
 
 
+# Suites that run on _default_trees, whose battery holds T2 unless a tree
+# file or another example replaces it.
+_DEFAULT_TREE_SUITES = ("core-identities", "shimorin", "multiplier-algebra", "harmonics")
+
+
 def run(config: RunConfig) -> Report:
     """Execute the configured suites and assemble the deterministic report."""
     requested = []
@@ -523,6 +528,11 @@ def run(config: RunConfig) -> Report:
             raise ConfigError(f"{name} must be finite, got {value!r}")
     if min(config.tol_alg, config.tol_power) < 0:
         raise ConfigError("tolerances must be at least 0")
+    builds_t2 = "example-t2" in requested or (
+        not config.tree_path and (config.example or "T2").upper() == "T2"
+        and any(s in requested for s in _DEFAULT_TREE_SUITES))
+    if builds_t2 and not 0 < config.alpha < 1:
+        raise ConfigError(f"alpha must lie in (0, 1) for the T2 tree, got {config.alpha!r}")
 
     def call(name: str) -> list[Record]:
         try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._util import kahan_mean_vectors, stable_rng, worst_of
 from .errors import DimensionMismatch, NotUnimodular, QuadratureTooCoarse
-from .model import analytic_coeffs, reconstruct
+from .model import _reconstruct_array, analytic_coeffs, reconstruct
 from .multiplier import (
     OpSymbol,
     ScalarSymbol,
@@ -190,18 +190,16 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
         target_sym = None
 
     nodes = [np.exp(2j * np.pi * q / Q) for q in range(Q)]
+    rotated = [ScalarSymbol(scal.coeffs * np.array([w ** n for n in range(scal.length)]))
+               for w in nodes]
     worst = 0.0
     for t in range(n_test_vectors):
         f = L2Vector.random(tree, f_depth, stable_rng(seed, f"circle-{t}"))
         c = analytic_coeffs(S, basis, f, order=f_depth)
-        images = []
-        for w in nodes:
-            rotated = ScalarSymbol(scal.coeffs * np.array(
-                [w ** n for n in range(scal.length)]))
-            conv = convolve_with_coeffs(rotated, c)
-            g = reconstruct(S, basis, conv, support)
-            images.append(np.conj(w) ** k * g.data)
-        avg = kahan_mean_vectors(images)
+        # the images at all nodes in one Wold walk, one column per node
+        convs = np.stack([convolve_with_coeffs(sym, c).coords for sym in rotated], axis=-1)
+        images = np.ascontiguousarray(_reconstruct_array(S, basis, convs, support).T)
+        avg = kahan_mean_vectors(np.conj(w) ** k * g for w, g in zip(nodes, images))
         if target_sym is None:
             target = np.zeros_like(avg)
         else:

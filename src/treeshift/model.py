@@ -149,21 +149,27 @@ class CoefficientSystem:
         self.columns = tree.vertices[:_prefix_size(tree, self.support_depth)]
         self.rank = len(self.columns) - _prefix_size(tree, self.support_depth - order - 1)
 
-    def solve(self, stacked: np.ndarray) -> tuple[np.ndarray, float]:
+    def solve(self, stacked: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """sum_n S^n c(n) cut to V_{<=d}, and the norm of its coefficient misfit.
 
+        stacked holds c(0..order) one after the other: a vector
+        ((order + 1) * dim,) or a block ((order + 1) * dim, m) of columns,
+        each solved on its own; the misfit norm is then one per column.
         Raises SupportOverflow when a layer would leave the truncation.
         """
         S, basis = self.S, self.basis
-        g = _layer_array(S, basis, stacked.reshape(self.order + 1, basis.dim))
+        coords = stacked.reshape((self.order + 1, basis.dim) + stacked.shape[1:])
+        g = _layer_array(S, basis, coords)
         g[len(self.columns):] = 0
-        misfit = _coeff_array(S, basis, g, self.order).ravel() - stacked
-        return g[:len(self.columns)], float(np.linalg.norm(misfit))
+        misfit = _coeff_array(S, basis, g, self.order).reshape(stacked.shape) - stacked
+        return g[:len(self.columns)], _column_norms(misfit)
 
-    def to_vector(self, x: np.ndarray) -> L2Vector:
-        out = L2Vector.zero(self.S.tree)
-        out.data[:len(self.columns)] = x
-        return out
+
+def _column_norms(x: np.ndarray) -> float | np.ndarray:
+    """Norm of a vector, or the norm of each column of a block."""
+    if x.ndim == 1:
+        return float(np.linalg.norm(x))
+    return np.linalg.norm(x, axis=0)
 
 
 def reconstruct(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq,
@@ -180,28 +186,43 @@ def reconstruct(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq,
     Without a system one is built out to the support depth, so the coefficient
     map is injective and the solution unique whenever the data is consistent.
     """
-    if not np.all(np.isfinite(c.coords)):
+    return L2Vector(S.tree, _reconstruct_array(S, basis, c.coords, support_depth, system))
+
+
+def _reconstruct_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray,
+                       support_depth: int,
+                       system: CoefficientSystem | None = None) -> np.ndarray:
+    """reconstruct for coefficients (length, dim) or a block (length, dim, m).
+
+    Returns g as (n,) or (n, m).  A block is one Horner walk and one
+    coefficient pass, and each column passes the residual gate on its own
+    scale RECONSTRUCT_TOL * max(1, ||c||).
+    """
+    if not np.all(np.isfinite(coords)):
         raise Inconsistent("coefficients are not finite")
     if system is None:
         system = CoefficientSystem(S, basis, support_depth,
-                                   max(c.length - 1, support_depth))
-    stacked = np.zeros((system.order + 1) * basis.dim, dtype=np.complex128)
-    upto = min(c.length, system.order + 1)
-    stacked[:upto * basis.dim] = c.coords[:upto].ravel()
+                                   max(len(coords) - 1, support_depth))
+    block = coords.shape[2:]
+    stacked = np.zeros(((system.order + 1) * basis.dim,) + block, dtype=np.complex128)
+    upto = min(len(coords), system.order + 1)
+    stacked[:upto * basis.dim] = coords[:upto].reshape((upto * basis.dim,) + block)
     try:
         x, residual = system.solve(stacked)
     except SupportOverflow as exc:
         raise Inconsistent(
             f"the layers of these coefficients leave the truncation ({exc})") from exc
-    scale = max(1.0, float(np.linalg.norm(stacked)))
-    if not residual <= RECONSTRUCT_TOL * scale:
+    scale = np.maximum(1.0, _column_norms(stacked))
+    if not np.all(residual <= RECONSTRUCT_TOL * scale):
         raise Inconsistent(
             f"no vector of support depth {support_depth} has these coefficients "
-            f"(residual {residual:.3e})")
+            f"(residual {np.max(residual):.3e})")
     if system.rank < len(system.columns):
         warnings.warn("coefficient system has null directions; zero extension returned",
                       UnderdeterminedWarning)
-    return system.to_vector(x)
+    out = np.zeros((S.tree.n_vertices,) + block, dtype=np.complex128)
+    out[:len(system.columns)] = x
+    return out
 
 
 @dataclass

@@ -271,29 +271,32 @@ class MembershipReport:
     dropped_mass: float = 0.0
 
 
-def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> float:
+def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> np.ndarray:
     """Zero, in place, the components whose layer would leave the truncation.
 
     Component j of coefficient n expands to S^n e'_j, which lives in
     generation gen_index[j] + n; it is dropped when that passes the tree
     depth.  coords has shape (length, dim) or is a block (length, dim, m).
-    Returns the dropped mass: the sum over n (and the block's columns) of the
-    norms dropped.
+    Returns the dropped mass per column, the sum over n of the norms dropped:
+    a scalar for one sequence, shape (m,) for a block.
     """
     over = np.add.outer(np.arange(coords.shape[0]), basis.gen_index) > basis.tree.depth
     over = over.reshape(over.shape + (1,) * (coords.ndim - 2))
-    dropped = float(np.linalg.norm(np.where(over, coords, 0.0), axis=1).sum())
+    dropped = np.linalg.norm(np.where(over, coords, 0.0), axis=1).sum(axis=0)
     coords[np.broadcast_to(over, coords.shape)] = 0.0
     return dropped
 
 
 def _compressed_map_columns(S: ShiftOperator, basis: SeparatedBasis,
-                            phi: ScalarSymbol | OpSymbol, d: int) -> tuple[np.ndarray, float, list[VertexId]]:
+                            phi: ScalarSymbol | OpSymbol, d: int) -> tuple[np.ndarray, np.ndarray, list[VertexId]]:
     """Matrix of f -> expansion of phi * coeffs(f) over unit vectors in V_{<=d}.
 
     The symbol map applied to the block of all unit vectors at once; the
-    columns are a prefix of the breadth-first vertex order.  The total
-    dropped mass is returned for the report.
+    columns are a prefix of the breadth-first vertex order, and the dropped
+    mass of each column is returned with them.  For d' < d the map at depth
+    d' is, bit for bit, the first _prefix_size(tree, d') columns: an input
+    on V_{<=d'} has zero coefficients past order d', so the deeper map's
+    extra orders and Horner layers add exact zeros.
     """
     n_in = _prefix_size(S.tree, d)
     image, dropped = _apply_symbol_map(S, basis, phi, d, np.eye(n_in, dtype=np.complex128))
@@ -302,14 +305,14 @@ def _compressed_map_columns(S: ShiftOperator, basis: SeparatedBasis,
 
 def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
                       phi: ScalarSymbol | OpSymbol, d: int,
-                      x: np.ndarray) -> tuple[np.ndarray, float]:
+                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expansion of phi * coeffs(f) for f given on V_{<=d}, and the dropped mass.
 
     x holds the entries of f on V_{<=d}, a prefix of the breadth-first vertex
     order: one vector (n_in,) or a block (n_in, m) of column vectors.  One
     coefficient, convolution and layer pass over the whole block; coefficient
     components whose layer would leave the truncation are dropped, and their
-    mass is summed over the block's columns.
+    mass is returned per column.
     """
     n_in = _prefix_size(S.tree, d)
     f = np.zeros((S.tree.n_vertices,) + x.shape[1:], dtype=np.complex128)
@@ -343,26 +346,33 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
     return out[:_prefix_size(tree, d)]
 
 
+def _is_dense(tree, d: int) -> bool:
+    """Whether the compressed map on V_{<=d} is small enough to build and SVD."""
+    return tree.n_vertices * _prefix_size(tree, d) <= 400_000
+
+
 def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
                                    phi: ScalarSymbol | OpSymbol, d: int, *,
                                    seed: int = 0) -> tuple[float, float]:
     """Operator norm of the compressed multiplication map on V_{<=d}.
 
     Dense SVD when the map fits comfortably in memory, randomized power
-    iteration on the implicit map otherwise.  Returns (norm, dropped mass).
+    iteration on the implicit map otherwise.  Returns (norm, dropped mass):
+    on the dense path the sum over the unit-vector columns, on the power path
+    the mass dropped from the image of the all-ones vector.
     """
     tree = S.tree
     n_in = _prefix_size(tree, d)
-    if tree.n_vertices * n_in <= 400_000:
+    if _is_dense(tree, d):
         mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
-        return dense_spectral_norm(mat), dropped
+        return dense_spectral_norm(mat), float(dropped.sum())
     _, dropped = _apply_symbol_map(S, basis, phi, d,
                                    np.ones(n_in, dtype=np.complex128))
     norm = power_norm(
         lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
         lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
         n_in, iters=150, rng=stable_rng(seed, f"compressed-norm-{d}"))
-    return norm, dropped
+    return norm, float(dropped)
 
 
 def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
@@ -375,15 +385,25 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     Divergence is flagged when the least-squares slope of log-norm against
     depth exceeds the threshold.  Grids shorter than eight depths are marked
     low confidence: the threshold is calibrated for depth ranges reaching 12.
+    The depths on the dense path share one compressed map, built at the
+    deepest of them: each takes the norm of its column prefix.
     """
-    if max_depth > S.tree.depth:
-        raise PreconditionFailed(f"max_depth {max_depth} exceeds tree depth {S.tree.depth}")
+    tree = S.tree
+    if max_depth > tree.depth:
+        raise PreconditionFailed(f"max_depth {max_depth} exceeds tree depth {tree.depth}")
     if depths is None:
         depths = list(range(1, max_depth + 1))
+    dense = [d for d in depths if _is_dense(tree, d)]
+    if dense:
+        mat, drops, _ = _compressed_map_columns(S, basis, phi, max(dense))
     norms: list[float] = []
     dropped_total = 0.0
     for d in depths:
-        norm, dropped = compressed_multiplication_norm(S, basis, phi, d, seed=seed)
+        if _is_dense(tree, d):
+            n_in = _prefix_size(tree, d)
+            norm, dropped = dense_spectral_norm(mat[:, :n_in]), float(drops[:n_in].sum())
+        else:
+            norm, dropped = compressed_multiplication_norm(S, basis, phi, d, seed=seed)
         dropped_total += dropped
         norms.append(norm)
     slope = fit_log_slope(depths, norms)

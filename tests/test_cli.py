@@ -140,18 +140,40 @@ def test_cli_error_exit_code(tmp_path):
     ["--tol-alg", "inf"],
     ["--slope-threshold", "inf"],
     ["--tol-alg=-1e-12"],
+    # alpha outside (0, 1) wherever a requested suite builds T2
+    ["--alpha", "1.5"],
+    ["--alpha", "0", "--suite", "core-identities"],
+    ["--alpha", "1", "--example", "t2", "--suite", "harmonics"],
+    ["--alpha", "1.5", "--example", "T4", "--suite", "example-t2"],
 ])
-def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch):
+def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch, tmp_path):
     ran = []
     monkeypatch.setattr(cli, "_SUITE_FUNCS", {
         name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
-    rc = main(["run", *args])
+    out = tmp_path / "report.jsonl"
+    rc = main(["run", *args, "--out", str(out)])
     assert rc == 2
     assert ran == []
+    assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError")
+
+
+@pytest.mark.parametrize("args, suites", [
+    (["--suite", "balanced"], ["balanced"]),
+    (["--example", "T4", "--suite", "core-identities", "--suite", "harmonics"],
+     ["core-identities", "harmonics"]),
+    (["--example", "UNILATERAL", "--suite", "shimorin"], ["shimorin"]),
+])
+def test_cli_alpha_outside_unit_interval_without_t2(args, suites, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_SUITE_FUNCS", {
+        name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
+    assert main(["run", "--alpha", "1.5", *args]) == 0
+    assert ran == suites
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_rejects_infinite_weight(tmp_path, capsys):

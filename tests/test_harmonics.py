@@ -147,6 +147,58 @@ def test_circle_integral_two_ray(t2_shift):
         assert ts.circle_integral_check(S, basis, phi, k) < 1e-10
 
 
+def _circle_integral_per_node(S, basis, phi, k, n_test_vectors=5, seed=0):
+    # one reconstruct per quadrature node: the oracle for the block walk
+    from treeshift._util import kahan_mean_vectors, worst_of
+
+    tree = S.tree
+    Q = phi.length + abs(k) + 1
+    margin = (phi.length - 1) + basis.max_generation
+    f_depth = max(0, tree.depth - margin)
+    support = min(tree.depth, f_depth + margin)
+    nodes = [np.exp(2j * np.pi * q / Q) for q in range(Q)]
+    worst = 0.0
+    for t in range(n_test_vectors):
+        f = ts.L2Vector.random(tree, f_depth, stable_rng(seed, f"circle-{t}"))
+        c = ts.analytic_coeffs(S, basis, f, order=f_depth)
+        images = []
+        for w in nodes:
+            rotated = ts.ScalarSymbol(phi.coeffs * np.array([w ** n for n in range(phi.length)]))
+            g = ts.reconstruct(S, basis, ts.convolve_with_coeffs(rotated, c), support)
+            images.append(np.conj(w) ** k * g.data)
+        avg = kahan_mean_vectors(images)
+        target = np.zeros_like(avg)
+        if 0 <= k < phi.length:
+            monomial = np.zeros(k + 1, dtype=np.complex128)
+            monomial[k] = phi.coeffs[k]
+            target = ts.reconstruct(S, basis, ts.convolve_with_coeffs(
+                ts.ScalarSymbol(monomial), c), support).data
+        worst = worst_of(worst, float(np.linalg.norm(avg - target)))
+    return worst
+
+
+def test_circle_integral_block_walk_matches_per_node_loop(monkeypatch):
+    from treeshift import model
+
+    walks = []
+    inner = model._layer_array
+    monkeypatch.setattr(model, "_layer_array",
+                        lambda *args: walks.append(args[2].shape) or inner(*args))
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
+    for tree, weights in (ts.generate_example("T2", 12, [0.5]),
+                          ts.generate_random_tree(6, 3, 17)):
+        S = ts.ShiftOperator(tree, weights)
+        basis = ts.separated_kernel_basis(S)
+        for k in (1, 0, -2):
+            walks.clear()
+            got = ts.circle_integral_check(S, basis, phi, k, seed=2)
+            # one walk over all Q nodes per test vector, and one for its target
+            Q = phi.length + abs(k) + 1
+            assert [shape[-1] for shape in walks if len(shape) == 3] == [Q] * 5
+            assert len(walks) == (10 if k >= 0 else 5)
+            assert got == _circle_integral_per_node(S, basis, phi, k, seed=2)
+
+
 def test_circle_integral_too_coarse(t2_shift):
     S, basis = t2_shift
     phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))

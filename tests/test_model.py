@@ -352,6 +352,32 @@ def test_reconstruct_underdetermined_warning(t2_shift):
     assert np.array_equal(g.data, ts.expand_layers(S, basis, c).data)
 
 
+def test_reconstruct_block_gates_each_column(t2_shift):
+    # a block of coefficient sequences is one walk whose columns equal the
+    # per-sequence reconstruct, and a bad column fails the whole block
+    from treeshift.model import _reconstruct_array
+
+    S, basis = t2_shift
+    tree = S.tree
+    rng = stable_rng(35, "reconstruct-block")
+    fs = [ts.L2Vector.random(tree, g, rng) for g in (4, 2, 4)]
+    coeffs = [ts.analytic_coeffs(S, basis, f) for f in fs]
+    block = np.stack([c.coords for c in coeffs], axis=-1)
+    got = _reconstruct_array(S, basis, block, 4)
+    for q, c in enumerate(coeffs):
+        assert np.array_equal(got[:, q], ts.reconstruct(S, basis, c, 4).data)
+    nonfinite = block.copy()
+    nonfinite[3, 0, 1] = np.inf
+    overflow = block.copy()
+    overflow[tree.depth, 1, 1] = 1.0    # S^depth e'_1 leaves the truncation
+    deep = np.stack([coeffs[0].coords,
+                     ts.analytic_coeffs(S, basis, ts.L2Vector.random(tree, 9, rng)).coords],
+                    axis=-1)            # no vector of support depth 4 has column 1
+    for bad in (nonfinite, overflow, deep):
+        with pytest.raises(Inconsistent):
+            _reconstruct_array(S, basis, bad, 4)
+
+
 def test_reproducing_property_random_points(t2_shift):
     S, basis = t2_shift
     tree = S.tree

@@ -463,7 +463,7 @@ def test_compressed_map_matches_literal_reconstruct(t2_shift):
     phi = ts.ScalarSymbol(np.array([1.0, -0.5j, 0.25]))
     d = 4
     mat, dropped, cols = _compressed_map_columns(S, basis, phi, d)
-    assert dropped == 0.0
+    assert np.all(dropped == 0.0)
     for ci, v in enumerate(cols):
         c = ts.analytic_coeffs(S, basis, ts.L2Vector.basis(tree, v), order=d)
         conv = ts.convolve_with_coeffs(phi, c)
@@ -513,7 +513,7 @@ def test_power_path_norm_matches_dense():
     for S, basis, phi in _power_path_cases():
         n_in = sum(len(g) for g in S.tree.generations[:d + 1])
         mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
-        assert dropped > 0.0
+        assert dropped.sum() > 0.0
         want = dense_spectral_norm(mat)
         got = power_norm(lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
                          lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
@@ -529,12 +529,82 @@ def test_compressed_map_matches_symbol_map_per_vector():
     d = 4
     for S, basis, phi in _power_path_cases():
         mat, dropped, cols = _compressed_map_columns(S, basis, phi, d)
-        per_vector = 0.0
+        per_vector = np.zeros(len(cols))
         for ci in range(len(cols)):
             x = np.zeros(len(cols), dtype=np.complex128)
             x[ci] = 1.0
-            image, drop = _apply_symbol_map(S, basis, phi, d, x)
+            image, per_vector[ci] = _apply_symbol_map(S, basis, phi, d, x)
             assert np.linalg.norm(mat[:, ci] - image) <= 1e-13 * max(1.0, np.linalg.norm(image))
-            per_vector += drop
-        assert dropped > 0.0
-        assert abs(dropped - per_vector) <= 1e-13 * per_vector
+        assert dropped.sum() > 0.0
+        assert np.all(np.abs(dropped - per_vector) <= 1e-13 * per_vector)
+
+
+def _per_depth_norms(S, basis, phi, depths, seed=0):
+    # the grid one depth at a time: the oracle for the shared column-prefix map
+    return [ts.compressed_multiplication_norm(S, basis, phi, d, seed=seed) for d in depths]
+
+
+def _membership_grid_cases():
+    tree, weights = ts.generate_example("T2", 14, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    yield S, basis, ts.two_ray_symbol(basis, 0.5, [np.array([[1.0, 0.0], [0.0, 0.0]])]), 12
+    yield S, basis, ts.two_ray_admissible_symbol(basis, 0.5, 1.0, 0.5, 0.25, -0.5), 12
+    tree, weights = ts.balanced_double_ray(20, [1.0 + 1.0 / (m + 1) for m in range(20)])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    yield S, basis, ts.indicator_symbol(2, basis.dim, np.array([[0.3, -0.2], [0.1, 0.7]])), 20
+    S, basis, phi = list(_power_path_cases())[1]
+    yield S, basis, phi, S.tree.depth
+
+
+def test_membership_grid_matches_per_depth_norms():
+    for S, basis, phi, max_depth in _membership_grid_cases():
+        depths = list(range(1, max_depth + 1))
+        rep = ts.membership_diagnostic(S, basis, phi, max_depth, seed=3)
+        want = _per_depth_norms(S, basis, phi, depths, seed=3)
+        assert rep.norms == [norm for norm, _ in want]
+        total = sum(dropped for _, dropped in want)
+        assert abs(rep.dropped_mass - total) <= 1e-12 * max(total, 1e-300)
+    # the random operator symbol reaches past the last generation
+    assert rep.dropped_mass > 0.0
+
+
+def test_membership_grid_mixes_dense_and_power_depths():
+    # 826 vertices: V_{<=8} fits the dense rule, V_{<=9} and V_{<=10} do not
+    from treeshift.multiplier import _is_dense
+
+    tree, weights = ts.generate_random_tree(10, 3, 14)
+    assert tree.n_vertices == 826
+    assert [_is_dense(tree, d) for d in range(1, 11)] == [True] * 8 + [False] * 2
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
+    rep = ts.membership_diagnostic(S, basis, phi, 10, seed=4)
+    want = _per_depth_norms(S, basis, phi, range(1, 11), seed=4)
+    assert rep.norms == [norm for norm, _ in want]
+
+
+def test_membership_grid_takes_any_depth_list(t2_shift):
+    S, basis = t2_shift
+    phi = ts.ScalarSymbol(np.array([1.0, -0.5j, 0.25]))
+    for depths in ([7, 2, 5, 2, 9], [4, 4], [3], []):
+        rep = ts.membership_diagnostic(S, basis, phi, 9, depths=depths)
+        assert rep.depths == depths
+        assert rep.norms == [norm for norm, _ in _per_depth_norms(S, basis, phi, depths)]
+
+
+def test_membership_dense_grid_makes_one_coefficient_pass(t2_shift, monkeypatch):
+    from treeshift import multiplier
+
+    S, basis = t2_shift
+    calls = []
+    inner = multiplier._coeff_array
+
+    def counted(*args):
+        calls.append(args[3])
+        return inner(*args)
+
+    monkeypatch.setattr(multiplier, "_coeff_array", counted)
+    ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), 12)
+    assert calls == [12]

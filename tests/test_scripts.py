@@ -47,3 +47,32 @@ def test_diff_reports_flags_a_status_change(tmp_path):
     assert done.returncode == 1, done.stderr
     key = f"{rows[0]['name']}@{rows[0]['tree']}#1"
     assert done.stdout.splitlines()[0] == f"status {key}: pass -> fail"
+
+
+def test_bench_pairs_alternates_sides_and_writes_the_bench_layout(tmp_path, capsys):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    calls = []
+
+    def fake(side, workload, seed):
+        calls.append((workload, seed, side))
+        value = 1.0 + seed if side == "parent" else 0.5 + seed
+        return {"correct": True, "attempted": 3, "failed": 0,
+                "metrics": {"report_s": {"value": value, "unit": "s"}}}
+
+    out = tmp_path / "BENCH_fake.json"
+    assert bench_pairs.main(["abc1234", "--workload", "suite-all", "--workload", "wide-t4",
+                             "--pairs", "3", "--out", str(out)], runner=fake) == 0
+    order = [("parent", "change"), ("change", "parent"), ("parent", "change")]
+    assert calls == [(w, s, side) for w in ("suite-all", "wide-t4")
+                     for s in range(3) for side in order[s]]
+    payload = json.loads(out.read_text())
+    assert payload["parent"] == "abc1234"
+    assert [(r["workload"], r["seed"], r["side"]) for r in payload["runs"]] == calls
+    assert payload["runs"][0]["result"]["metrics"]["report_s"]["value"] == 1.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{w} report_s: parent 2 [1, 3]; change 1.5 [0.5, 2.5]; "
+                     f"change lower in 3 of 3 pairs" for w in ("suite-all", "wide-t4")]
