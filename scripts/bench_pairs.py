@@ -9,7 +9,7 @@ committed BENCH_*.json files, and a summary per workload and metric is
 printed: each side's median and quartiles, and the pairs the change won.
 
 Usage: python scripts/bench_pairs.py PARENT_REV --workload W [--workload W2 ...]
-           --pairs N --out BENCH_<name>.json [--seconds S]
+           --pairs N --out BENCH_<name>.json
 """
 
 from __future__ import annotations
@@ -35,12 +35,10 @@ def extract(rev: str, dest: Path) -> Path:
     return dest
 
 
-def perfbench_result(root: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def perfbench_result(root: Path, workload: str, seed: int) -> dict:
     """The result object that perfbench/run.py prints last, run from root."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, timeout=900)
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or not lines:
@@ -81,11 +79,10 @@ def summary(runs: list[dict]) -> list[str]:
     return lines
 
 
-def write(path: Path, parent: str, seconds: float | None, runs: list[dict]) -> None:
+def write(path: Path, parent: str, runs: list[dict]) -> None:
     """OUT with the header fields on their own lines and one run a line."""
     header = {
-        "command": "python3 perfbench/run.py --workload W --seed N "
-                   f"{'' if seconds is None else f'--seconds {seconds:g} '}--trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed N --trace 0",
         "host": f"{os.cpu_count()}-CPU {platform.system()}, one BLAS thread (set by run.py)",
         "pairs": "alternating: parent first at even seeds, change first at odd seeds",
         "parent": parent,
@@ -101,8 +98,6 @@ def main(argv: list[str] | None = None, runner=None) -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length; default: BENCHMARK.json's run_seconds")
     args = ap.parse_args(argv)
     if runner is None:
         parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
@@ -110,11 +105,11 @@ def main(argv: list[str] | None = None, runner=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             roots = {"parent": extract(args.parent, Path(tmp)), "change": ROOT}
             runs = run_pairs(args.workload, args.pairs, lambda side, w, seed: perfbench_result(
-                roots[side], w, seed, args.seconds))
+                roots[side], w, seed))
     else:
         parent = args.parent
         runs = run_pairs(args.workload, args.pairs, runner)
-    write(Path(args.out), parent, args.seconds, runs)
+    write(Path(args.out), parent, runs)
     for line in summary(runs):
         print(line)
     return 0

@@ -23,7 +23,7 @@ from . import multiplier as mul
 from . import shift as sh
 from . import tree as tr
 from ._util import stable_rng, worst_of
-from .errors import ConfigError, TreeShiftError
+from .errors import BadParams, ConfigError, TreeShiftError
 
 TOL_ALG = 1e-12
 TOL_POWER = 1e-10
@@ -531,8 +531,11 @@ def run(config: RunConfig) -> Report:
     builds_t2 = "example-t2" in requested or (
         not config.tree_path and (config.example or "T2").upper() == "T2"
         and any(s in requested for s in _DEFAULT_TREE_SUITES))
-    if builds_t2 and not 0 < config.alpha < 1:
-        raise ConfigError(f"alpha must lie in (0, 1) for the T2 tree, got {config.alpha!r}")
+    if builds_t2:
+        try:
+            _example_tree("T2", 1, config.alpha)
+        except BadParams as exc:
+            raise ConfigError(f"alpha {config.alpha!r} cannot build the T2 tree: {exc}") from exc
 
     def call(name: str) -> list[Record]:
         try:

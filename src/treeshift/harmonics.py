@@ -198,7 +198,7 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
         c = analytic_coeffs(S, basis, f, order=f_depth)
         # the images at all nodes in one Wold walk, one column per node
         convs = np.stack([convolve_with_coeffs(sym, c).coords for sym in rotated], axis=-1)
-        images = np.ascontiguousarray(_reconstruct_array(S, basis, convs, support).T)
+        images = _reconstruct_array(S, basis, convs, support).T
         avg = kahan_mean_vectors(np.conj(w) ** k * g for w, g in zip(nodes, images))
         if target_sym is None:
             target = np.zeros_like(avg)
