@@ -19,12 +19,15 @@ from .model import _reconstruct_array, analytic_coeffs, reconstruct
 from .multiplier import (
     OpSymbol,
     ScalarSymbol,
+    _test_vector_depth,
     compressed_multiplication_norm,
     convolve_with_coeffs,
 )
 from .shift import L2Vector, SeparatedBasis, ShiftOperator
 
 UNIMODULAR_TOL = 1e-12
+# Seeded test vectors per circle_integral_check.
+CIRCLE_TEST_VECTORS = 5
 
 
 @dataclass
@@ -130,18 +133,15 @@ def cesaro_convergence_experiment(S: ShiftOperator, basis: SeparatedBasis,
     """
     scal = _as_scalar(phi)
     tree = S.tree
-    margin = (scal.length - 1) + basis.max_generation
-    f_depth = max(0, tree.depth - margin)
-    support = min(tree.depth, f_depth + margin)
+    f_depth = max(0, _test_vector_depth(basis, scal.length))
 
     def apply_symbol(sym: ScalarSymbol, f: L2Vector) -> L2Vector:
         conv = convolve_with_coeffs(sym, analytic_coeffs(S, basis, f, order=f_depth))
-        return reconstruct(S, basis, conv, support)
+        return reconstruct(S, basis, conv, tree.depth)
 
     rows: list[ConvergenceRow] = []
     norm_estimates: dict[int, float] = {}
-    work_depth = min(tree.depth - margin, max(4, tree.depth // 2))
-    work_depth = max(1, work_depth)
+    work_depth = max(1, min(f_depth, max(4, tree.depth // 2)))
     full_norm, _ = compressed_multiplication_norm(S, basis, scal, work_depth, seed=seed)
     targets = [apply_symbol(scal, f) for f in test_vectors]
     for order in orders:
@@ -162,12 +162,13 @@ def cesaro_convergence_experiment(S: ShiftOperator, basis: SeparatedBasis,
 def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
                           phi: ScalarSymbol | OpSymbol, k: int, *,
                           quadrature_points: int | None = None,
-                          n_test_vectors: int = 5, seed: int = 0) -> float:
+                          seed: int = 0) -> float:
     """Residual of the quadrature identity averaging rotated multiplications.
 
     (1/Q) sum_q conj(w_q)^k M_(phi_{w_q}) f recovers M_(p phi) f for the
     monomial p(w) = w^k, exactly once Q exceeds the degree span.  Returns the
-    maximum residual over seeded test vectors; k < 0 must recover zero.
+    maximum residual over CIRCLE_TEST_VECTORS seeded test vectors; k < 0 must
+    recover zero.
     """
     scal = _as_scalar(phi)
     required = scal.length + abs(k) + 1
@@ -178,9 +179,7 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
             f"need at least {required} nodes for length {scal.length} and power {k}")
     Q = quadrature_points
     tree = S.tree
-    margin = (scal.length - 1) + basis.max_generation
-    f_depth = max(0, tree.depth - margin)
-    support = min(tree.depth, f_depth + margin)
+    f_depth = max(0, _test_vector_depth(basis, scal.length))
 
     if 0 <= k < scal.length:
         target_coeffs = np.zeros(k + 1, dtype=np.complex128)
@@ -193,17 +192,17 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
     rotated = [ScalarSymbol(scal.coeffs * np.array([w ** n for n in range(scal.length)]))
                for w in nodes]
     worst = 0.0
-    for t in range(n_test_vectors):
+    for t in range(CIRCLE_TEST_VECTORS):
         f = L2Vector.random(tree, f_depth, stable_rng(seed, f"circle-{t}"))
         c = analytic_coeffs(S, basis, f, order=f_depth)
         # the images at all nodes in one Wold walk, one column per node
         convs = np.stack([convolve_with_coeffs(sym, c).coords for sym in rotated], axis=-1)
-        images = _reconstruct_array(S, basis, convs, support).T
+        images = _reconstruct_array(S, basis, convs, tree.depth).T
         avg = kahan_mean_vectors(np.conj(w) ** k * g for w, g in zip(nodes, images))
         if target_sym is None:
             target = np.zeros_like(avg)
         else:
             target = reconstruct(S, basis, convolve_with_coeffs(target_sym, c),
-                                 support).data
+                                 tree.depth).data
         worst = worst_of(worst, float(np.linalg.norm(avg - target)))
     return worst

@@ -53,18 +53,6 @@ class CoeffSeq:
     def length(self) -> int:
         return self.coords.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[1]
-
-    def coefficient(self, n: int) -> np.ndarray:
-        if n >= self.length:
-            return np.zeros(self.dim, dtype=np.complex128)
-        return self.coords[n]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
     def to_json(self) -> str:
         import json
 
@@ -286,17 +274,13 @@ class SpectralRadiusEstimate:
 
 
 def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: complex,
-                  order: int | None = None, *, rho: float | None = None) -> KernelEval:
+                  order: int, *, rho: float) -> KernelEval:
     """Series truncation of the reproducing kernel matrix on E coordinates.
 
     matrix = sum_{m,n <= order} z^m conj(lam)^n P_E L^m (L*)^n restricted to E,
     assembled from adjoint power stacks.  Requires |z| and |lam| inside the
-    estimated disc of analyticity.
+    disc of radius 1/rho, for rho an estimate of the spectral radius of L.
     """
-    if order is None:
-        order = max(0, S.tree.depth - 2)
-    if rho is None:
-        rho = spectral_radius_estimate(S).estimate
     zmax = max(abs(z), abs(lam))
     if rho * zmax >= 1.0:
         raise OutsideDisc(f"|point| * rho = {rho * zmax:.4f} >= 1")
@@ -324,16 +308,15 @@ class EigenResidualReport:
 
 def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
                          e_index: int, order: int | None = None, *,
-                         rho: float | None = None) -> EigenResidualReport:
+                         rho: float) -> EigenResidualReport:
     """Residual of the adjoint eigen-relation for the kernel section at lam.
 
     The section kappa = k(., conj(lam)) e'_j is represented by its coefficient
     sequence, reconstructed to vertex space, and tested against
     S* v = lam v there (the model inner product is the pullback).  The stated
     tail bound is |lam|^(order+1) ||(L*)^order e'_j|| / ||v|| plus solver slack.
+    Requires |lam| inside the disc of radius 1/rho.
     """
-    if rho is None:
-        rho = spectral_radius_estimate(S).estimate
     if rho * abs(lam) >= 1.0:
         raise OutsideDisc(f"|lam| * rho = {rho * abs(lam):.4f} >= 1")
     k_e = int(basis.gen_index[e_index])

@@ -31,6 +31,12 @@ from .tree import VertexId, _prefix_size
 BOUNDED = "BoundedSoFar"
 DIVERGENT = "DivergenceDetected"
 SLOPE_THRESHOLD = 0.02
+# Relative tolerance of OpSymbol.is_scalar_diagonal.
+SCALAR_DIAGONAL_TOL = 1e-12
+# Largest ||AS - SA|| that commutant_check accepts.
+COMMUTE_TOL = 1e-10
+# Spacing of the probed generations of two_ray_divergence_witness.
+WITNESS_STRIDE = 3
 
 
 @dataclass
@@ -83,10 +89,10 @@ class OpSymbol:
         eye = np.eye(dim, dtype=np.complex128)
         return cls(np.stack([c * eye for c in scalar.coeffs]))
 
-    def is_scalar_diagonal(self, tol: float = 1e-12) -> bool:
+    def is_scalar_diagonal(self) -> bool:
         eye = np.eye(self.dim)
         for m in self.mats:
-            if np.linalg.norm(m - m[0, 0] * eye) > tol * max(1.0, abs(m[0, 0])):
+            if np.linalg.norm(m - m[0, 0] * eye) > SCALAR_DIAGONAL_TOL * max(1.0, abs(m[0, 0])):
                 return False
         return True
 
@@ -170,28 +176,29 @@ def _convolve_array(phi: ScalarSymbol | OpSymbol, coords: np.ndarray) -> np.ndar
     return out
 
 
-def generation_raise(tree, A: np.ndarray, tol: float = 0.0) -> int:
-    """Largest generation increase the matrix A can produce, from its sparsity."""
+def generation_raise(tree, A: np.ndarray) -> int:
+    """Largest generation increase the matrix A can produce, from its sparsity.
+
+    An entry counts when its modulus is above 0, so a NaN entry does not.
+    """
     gens = np.array([tree.generation[v] for v in tree.vertices])
-    rows, cols = np.nonzero(np.abs(A) > tol)
+    rows, cols = np.nonzero(np.abs(A) > 0)
     if rows.size == 0:
         return 0
     return int(np.max(gens[rows] - gens[cols]))
 
 
-def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
-                   order: int | None = None) -> OpSymbol:
-    """Commutant symbol of a dense operator: phi(m) = P_E L^m A restricted to E.
+def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray) -> OpSymbol:
+    """Commutant symbol of a dense operator: phi(m) = P_E L^m A restricted to E,
+    for m = 0..depth.
 
     Entries are exact for m up to depth minus the largest kernel generation
     the matrix can reach; exact_to records the global bound
     depth - max kernel generation - generation raise of A.
     """
     tree = S.tree
-    if order is None:
-        order = tree.depth
     kernel = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
-    mats = _coeff_array(S, basis, A @ kernel, order)
+    mats = _coeff_array(S, basis, A @ kernel, tree.depth)
     exact = tree.depth - basis.max_generation - generation_raise(tree, A)
     return OpSymbol(mats, exact_to=max(-1, exact))
 
@@ -206,19 +213,14 @@ class VerificationReport:
     exactness_depth: int
     details: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return bool(self.details.get("passed", True))
-
 
 def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
-                    trials: int = 20, *, seed: int = 0,
-                    commute_tol: float = 1e-10) -> VerificationReport:
+                    trials: int = 20, *, seed: int = 0) -> VerificationReport:
     """Verify that the action of a commuting operator is convolution by its symbol.
 
     For random f, compares P_E L^n (A f) with the convolution of the extracted
     symbol against the coefficients of f, for all n up to the tree depth.
-    Rejects operators whose commutator with the shift exceeds tolerance.  Up
+    Rejects operators whose commutator with the shift exceeds COMMUTE_TOL.  Up
     to 700 vertices `commutator_norm` is the spectral norm of AS - SA, by a
     dense SVD; above that it is the Frobenius norm, an upper bound on the
     spectral norm, so an accepted operator never rests on an underestimate.
@@ -232,8 +234,8 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
         comm_norm = dense_spectral_norm(comm)
     else:
         comm_norm = float(np.linalg.norm(comm))
-    if comm_norm > commute_tol:
-        raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e} > {commute_tol:g}")
+    if comm_norm > COMMUTE_TOL:
+        raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e} > {COMMUTE_TOL:g}")
 
     r_A = generation_raise(tree, A)
     f_depth = tree.depth - 1 - r_A
@@ -393,6 +395,9 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
         raise PreconditionFailed(f"max_depth {max_depth} exceeds tree depth {tree.depth}")
     if depths is None:
         depths = list(range(1, max_depth + 1))
+    outside = [d for d in depths if not 0 <= d <= tree.depth]
+    if outside:
+        raise PreconditionFailed(f"grid depths {outside} lie outside 0..{tree.depth}")
     dense = [d for d in depths if _is_dense(tree, d)]
     if dense:
         mat, drops, _ = _compressed_map_columns(S, basis, phi, max(dense))
@@ -468,6 +473,17 @@ def scalar_mult_adjoint(S: ShiftOperator, phi: ScalarSymbol, f: L2Vector) -> L2V
     return acc
 
 
+def _test_vector_depth(basis: SeparatedBasis, length: int) -> int:
+    """Deepest generation a test vector may reach under a symbol of this length.
+
+    The image of f under the symbol runs length - 1 generations below f, and
+    its coefficients expand over kernel vectors as deep as max_generation, so
+    f needs length - 1 + max_generation generations of headroom for the image
+    to stay inside the truncation.  Negative when no vector has that headroom.
+    """
+    return basis.tree.depth - (length - 1) - basis.max_generation
+
+
 def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
                              phi: ScalarSymbol, trials: int = 20, *,
                              seed: int = 0) -> VerificationReport:
@@ -479,17 +495,15 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
     from .model import reconstruct
 
     tree = S.tree
-    margin = (phi.length - 1) + basis.max_generation
-    f_depth = tree.depth - margin
+    f_depth = _test_vector_depth(basis, phi.length)
     if f_depth < 0:
         raise PreconditionFailed(f"symbol too long for depth {tree.depth}")
-    support = f_depth + phi.length - 1 + basis.max_generation
     worst = 0.0
     for t in range(trials):
         f = L2Vector.random(tree, f_depth, stable_rng(seed, f"scalar-equiv-{t}"))
         direct = scalar_mult_apply(S, phi, f)
         conv = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f, order=f_depth))
-        via_model = reconstruct(S, basis, conv, support_depth=support)
+        via_model = reconstruct(S, basis, conv, support_depth=tree.depth)
         worst = worst_of(worst, (direct - via_model).norm())
     return VerificationReport(
         name="scalar-equivalence", max_residual=worst, trials=trials,
@@ -533,15 +547,11 @@ def two_ray_admissible_symbol(basis: SeparatedBasis, alpha: float,
     return two_ray_symbol(basis, alpha, [B0, B1])
 
 
-def two_ray_divergence_witness(tree, alpha: float, max_generation: int,
-                               stride: int = 3) -> L2Vector:
+def two_ray_divergence_witness(tree, alpha: float, max_generation: int) -> L2Vector:
     """Probe vector concentrated on the second ray: f(2, m) = alpha^m on multiples
-    of stride.  Under a constant symbol with unequal diagonal, its image gains
-    equal mass on the first ray at every probed generation.
+    of WITNESS_STRIDE.  Under a constant symbol with unequal diagonal, its image
+    gains equal mass on the first ray at every probed generation.
     """
-    entries = {}
-    m = stride
-    while m <= max_generation:
-        entries[(2, m)] = alpha ** m
-        m += stride
+    entries = {(2, m): alpha ** m
+               for m in range(WITNESS_STRIDE, max_generation + 1, WITNESS_STRIDE)}
     return L2Vector.from_dict(tree, entries)

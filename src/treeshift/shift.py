@@ -48,17 +48,19 @@ class L2Vector:
         return out
 
     @classmethod
-    def random(cls, tree: Tree, max_generation: int, rng: np.random.Generator,
-               *, normalize: bool = True) -> "L2Vector":
-        """Random complex vector supported in generations <= max_generation."""
+    def random(cls, tree: Tree, max_generation: int, rng: np.random.Generator) -> "L2Vector":
+        """Random unit vector supported in generations <= max_generation.
+
+        Complex Gaussian entries scaled to norm 1; the zero vector when
+        max_generation is negative.
+        """
         out = cls.zero(tree)
         n = _prefix_size(tree, max_generation)
         vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         out.data[:n] = vals
-        if normalize:
-            nrm = out.norm()
-            if nrm > 0:
-                out.data /= nrm
+        nrm = out.norm()
+        if nrm > 0:
+            out.data /= nrm
         return out
 
     def __getitem__(self, v: VertexId) -> complex:
@@ -325,8 +327,12 @@ def project_kernel(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector) -> L2Ve
     return basis.from_coords(basis.coords(f))
 
 
-def is_balanced(S: ShiftOperator, tol: float = 1e-12) -> tuple[bool, tuple[VertexId, VertexId] | None]:
-    """Whether ||S e_u|| depends only on the generation |u|.
+# Largest spread of ||S e_u|| within one generation that is_balanced accepts.
+BALANCED_TOL = 1e-12
+
+
+def is_balanced(S: ShiftOperator) -> tuple[bool, tuple[VertexId, VertexId] | None]:
+    """Whether ||S e_u|| depends only on the generation |u|, up to BALANCED_TOL.
 
     Returns (True, None) or (False, (u, v)) with a witnessing pair in the
     first violating generation.
@@ -338,7 +344,7 @@ def is_balanced(S: ShiftOperator, tol: float = 1e-12) -> tuple[bool, tuple[Verte
             continue
         norms = [np.sqrt(S.norm_squares[u]) for u in internal]
         lo, hi = int(np.argmin(norms)), int(np.argmax(norms))
-        if norms[hi] - norms[lo] > tol:
+        if norms[hi] - norms[lo] > BALANCED_TOL:
             return False, (internal[lo], internal[hi])
     return True, None
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 from .errors import (
     BadParams,
@@ -42,9 +42,6 @@ class PathSubtree:
     """A maximal root-to-leaf chain; every vertex has one successor in the list."""
 
     vertices: tuple[VertexId, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 class Tree:
@@ -105,16 +102,6 @@ class Tree:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
-
-    def descendants(self, u: VertexId) -> Iterator[VertexId]:
-        """Yield descendants of u (including u) in breadth-first order."""
-        frontier = [u]
-        while frontier:
-            nxt: list[VertexId] = []
-            for w in frontier:
-                yield w
-                nxt.extend(self.children[w])
-            frontier = nxt
 
 
 def _prefix_size(tree: Tree, depth: int) -> int:
@@ -211,11 +198,11 @@ def save_tree_spec(spec: TreeSpec, path: str) -> None:
         fh.write("\n")
 
 
-def tree_to_spec(tree: Tree, weights: WeightMap, *, stringify: bool = True) -> TreeSpec:
+def tree_to_spec(tree: Tree, weights: WeightMap) -> TreeSpec:
     """Serialize a built tree back to a TreeSpec, stringifying tuple labels."""
 
     def label(v: VertexId):
-        if stringify and isinstance(v, tuple):
+        if isinstance(v, tuple):
             return ".".join(str(c) for c in v)
         return v
 
@@ -314,12 +301,13 @@ def balanced_double_ray(depth: int, generation_norms: Sequence[float]) -> tuple[
     return tree, WeightMap(tree, weights)
 
 
-# Odds of 1, 2 and 3 children per vertex in generate_random_tree.
+# Odds of 1, 2 and 3 children per vertex in generate_random_tree, and the
+# range its edge weights are drawn from.
 _BRANCHING_ODDS = (0.55, 0.3, 0.15)
+_RANDOM_WEIGHT_RANGE = (0.5, 2.0)
 
 
-def generate_random_tree(depth: int, max_branching: int, seed: int,
-                         weight_range: tuple[float, float] = (0.5, 2.0)) -> tuple[Tree, WeightMap]:
+def generate_random_tree(depth: int, max_branching: int, seed: int) -> tuple[Tree, WeightMap]:
     """Random locally finite tree with branching <= max_branching and random weights.
 
     Branching counts are drawn with probabilities favouring single children so
@@ -334,7 +322,7 @@ def generate_random_tree(depth: int, max_branching: int, seed: int,
     counts = list(range(1, max_branching + 1))
     probs = _BRANCHING_ODDS[:max_branching]
     probs = [p / sum(probs) for p in probs]
-    lo, hi = weight_range
+    lo, hi = _RANDOM_WEIGHT_RANGE
     children: dict[VertexId, list[VertexId]] = {}
     weights: dict[VertexId, float] = {}
     frontier = [(0, 0)]

@@ -214,6 +214,17 @@ def test_record_nonfinite_residual_fails():
     assert _record("left-inverse-identity", "pass", residual=1e-15).status == "pass"
 
 
+def test_record_status_from_tolerance():
+    from treeshift.cli import _record
+
+    assert _record("left-inverse-identity", residual=1e-10, tol=1e-10).status == "pass"
+    over = _record("left-inverse-identity", residual=2e-10, tol=1e-10)
+    assert over.status == "fail" and "beyond tolerance" in over.witness
+    for resid in (float("nan"), float("inf")):
+        rec = _record("left-inverse-identity", residual=resid, tol=float("inf"))
+        assert rec.status == "fail" and "not finite" in rec.witness
+
+
 def test_cli_env_seed(tmp_path, monkeypatch):
     monkeypatch.setenv("TREESHIFT_SEED", "77")
     a = tmp_path / "env.jsonl"

@@ -5,7 +5,7 @@ import pytest
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import Inconsistent, OutsideDisc, SupportOverflow
+from treeshift.errors import DepthTooLargeForMemory, Inconsistent, OutsideDisc, SupportOverflow
 
 from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
 
@@ -180,6 +180,14 @@ def test_kernel_matrix_outside_disc(t2_shift):
     S, basis = t2_shift
     with pytest.raises(OutsideDisc):
         ts.kernel_matrix(S, basis, 0.9, 0.0, order=4, rho=2.0)
+
+
+def test_kernel_matrix_stack_memory_guard():
+    # T4 at depth 3: 4165 vertices times a 4096-dimensional kernel passes the stack cap
+    tree, weights = ts.generate_example("T4", 3, [])
+    S = ts.ShiftOperator(tree, weights)
+    with pytest.raises(DepthTooLargeForMemory):
+        ts.kernel_matrix(S, ts.separated_kernel_basis(S), 0.0, 0.0, order=1, rho=1.0)
 
 
 def test_reproducing_property(t2_shift):

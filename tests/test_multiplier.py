@@ -395,6 +395,14 @@ def test_membership_depth_precondition(t2_shift):
     S, basis = t2_shift
     with pytest.raises(PreconditionFailed):
         ts.membership_diagnostic(S, basis, ts.unit_symbol(2), S.tree.depth + 1)
+    # an explicit grid is checked too: depth 9 of a depth-6 tree would read the
+    # depth-6 map, and depth -1 a norm of 0
+    tree, weights = ts.generate_example("T2", 6, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    for depths in ([9], [-1]):
+        with pytest.raises(PreconditionFailed):
+            ts.membership_diagnostic(S, basis, ts.unit_symbol(2), 3, depths=depths)
 
 
 def test_indicator_product_acts_as_cube(t2_shift):
