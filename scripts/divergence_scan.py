@@ -40,7 +40,7 @@ def main() -> None:
                     block = np.array([[a, b], [c, d]])
                     sym = ts.two_ray_symbol(basis, args.alpha, [block])
                     rep = ts.membership_diagnostic(
-                        S, basis, sym, args.depth - 2,
+                        S, basis, sym, range(1, args.depth - 1),
                         slope_threshold=args.threshold)
                     print(f"{a:6.2f} {b:6.2f} {c:6.2f} {d:6.2f} "
                           f"{rep.slope:10.4f}  {rep.verdict}")
@@ -51,7 +51,7 @@ def main() -> None:
     for _ in range(5):
         a0, d0, a1, d1 = rng.standard_normal(4).round(3)
         sym = ts.two_ray_admissible_symbol(basis, args.alpha, a0, d0, a1, d1)
-        rep = ts.membership_diagnostic(S, basis, sym, args.depth - 2,
+        rep = ts.membership_diagnostic(S, basis, sym, range(1, args.depth - 1),
                                        slope_threshold=args.threshold)
         print(f"  a0={a0:+.3f} d0={d0:+.3f} a1={a1:+.3f} d1={d1:+.3f} "
               f"slope={rep.slope:8.4f}  {rep.verdict}")

@@ -42,6 +42,16 @@ def worst_of(*values: float) -> float:
     return max(values)
 
 
+def trial_norms(block: np.ndarray) -> list[float]:
+    """Norm of each trial of a block whose last axis runs over the trials.
+
+    Each trial is copied out contiguous, so its norm sums in the same order
+    as the norm of that trial's array computed alone.
+    """
+    return [float(np.linalg.norm(x))
+            for x in np.ascontiguousarray(np.moveaxis(block, -1, 0))]
+
+
 def power_norm(matvec, rmatvec, dim: int, *, iters: int = 120,
                rng: np.random.Generator | None = None) -> float:
     """Largest singular value of an implicitly given map, by power iteration.

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import dense_spectral_norm, fit_log_slope, worst_of
+from ._util import dense_spectral_norm, fit_log_slope, trial_norms, worst_of
 from .errors import DimensionMismatch, NotBalanced, PreconditionFailed, WrongGeneration
-from .model import analytic_coeffs, expand_layers
+from .model import _coeff_array, _layer_array
 from .multiplier import (
     BOUNDED,
     DIVERGENT,
@@ -117,16 +117,11 @@ class WoldDecomposition:
     def layer_norms(self, S: ShiftOperator) -> list[float]:
         """Norms ||S^n f_n||, one per part.
 
-        The parts are the columns of one block; pass n shifts the columns of
-        parts n, n+1, ... once more, so part n has been shifted n times.
         Raises SupportOverflow when a shifted part would leave the truncation.
         """
         if not self.parts:
             return []
-        block = np.stack([f_n.data for f_n in self.parts], axis=1)
-        for n in range(1, len(self.parts)):
-            block[:, n:] = _shift_array(S, block[:, n:])
-        return [float(np.linalg.norm(block[:, n])) for n in range(len(self.parts))]
+        return _layer_norms(S, np.stack([f_n.data for f_n in self.parts], axis=1)[..., None])[0]
 
 
 def wold_decompose(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector) -> WoldDecomposition:
@@ -135,13 +130,39 @@ def wold_decompose(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector) -> Wold
     The parts are the model coefficients f_n = P_E L^n f; for balanced shifts
     the images S^n f_n are mutually orthogonal and Parseval holds.
     """
+    parts, miss = _wold_layers(S, basis, f.data)
+    return WoldDecomposition(
+        parts=[L2Vector(S.tree, parts[:, n].copy()) for n in range(parts.shape[1])],
+        residual=float(np.linalg.norm(miss)))
+
+
+def _wold_layers(S: ShiftOperator, basis: SeparatedBasis,
+                 x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wold parts of a vector x (n,) or a block x (n, m), and x minus their expansion.
+
+    Part k of column t is the vertex vector parts[:, k, t] of P_E L^k x[:, t],
+    for k = 0..depth: one coefficient pass, one basis pass and one Horner walk.
+    """
     ok, witness = is_balanced(S)
     if not ok:
         raise NotBalanced(f"witness pair {witness}")
-    seq = analytic_coeffs(S, basis, f)
-    parts = [basis.from_coords(seq.coords[n]) for n in range(seq.length)]
-    recon = expand_layers(S, basis, seq)
-    return WoldDecomposition(parts=parts, residual=(f - recon).norm())
+    coords = _coeff_array(S, basis, x, S.tree.depth)
+    parts = basis._from_coords_array(np.moveaxis(coords, 0, 1))
+    return parts, x - _layer_array(S, basis, coords)
+
+
+def _layer_norms(S: ShiftOperator, parts: np.ndarray) -> list[list[float]]:
+    """Norms ||S^n f_n|| of a block of parts (n, parts, m), one list per column.
+
+    Pass n shifts parts n, n+1, ... once more, so part n has been shifted n
+    times; each norm is taken as for that part alone.
+    """
+    block = parts.copy()
+    for n in range(1, block.shape[1]):
+        block[:, n:] = _shift_array(S, block[:, n:])
+    norms = trial_norms(block.reshape(len(block), -1))
+    m = block.shape[2]
+    return [norms[t::m] for t in range(m)]
 
 
 def weighted_toeplitz_norm(a: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
@@ -152,12 +173,13 @@ def weighted_toeplitz_norm(a: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
     of b -> a*b between the weighted coordinate charts.
     """
     t = trunc
+    # Row n of the reversed windows reads padded[t - 1 + n - m] at column m:
+    # a[n - m] on and below the diagonal, 0 above, with no copy.
+    padded = np.zeros(2 * t - 1, dtype=np.complex128)
+    padded[t - 1:t - 1 + min(len(a), t)] = a[:t]
     mat = np.zeros((t, t), dtype=np.complex128)
-    for m in range(t):
-        vals = np.zeros(t - m, dtype=np.complex128)
-        upto = min(len(a), t - m)
-        vals[:upto] = a[:upto]
-        mat[m:, m] = vals * np.sqrt(beta2[m:t] / beta1[m])
+    np.sqrt(np.divide.outer(beta2[:t], beta1[:t], out=mat.real), out=mat.real)
+    mat *= np.lib.stride_tricks.sliding_window_view(padded, t)[:, ::-1]
     return dense_spectral_norm(mat)
 
 
@@ -278,7 +300,7 @@ def kom_characterization_check(S: ShiftOperator, basis: SeparatedBasis,
             f"truncation {trunc} exceeds computable orbit length {tree.depth + 1}")
     beta = beta_from_orbit(S, L2Vector.basis(tree, tree.root), trunc)
     depths_a = list(range(1, min(tree.depth, trunc - 1) + 1))
-    side_a = membership_diagnostic(S, basis, phi, max(depths_a), depths=depths_a,
+    side_a = membership_diagnostic(S, basis, phi, depths_a,
                                    slope_threshold=slope_threshold, seed=seed)
     # side B probes the same scale: truncation d+1 against x-coordinate d
     truncs_b = [d + 1 for d in depths_a]

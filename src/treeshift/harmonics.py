@@ -9,7 +9,7 @@ degree span, with compensated accumulation for determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +47,17 @@ def rotation_diagonal(basis: SeparatedBasis, w: complex) -> RotationDiagonal:
 
 def rotate_vector(tree, f: L2Vector, w: complex) -> L2Vector:
     """(f_w)(u) = w^|u| f(u); preserves the norm."""
+    return L2Vector(tree, _rotate_array(tree, f.data, w))
+
+
+def _rotate_array(tree, x: np.ndarray, w: complex) -> np.ndarray:
+    """rotate_vector for a vector x (n,) or a block x (n, m) of column vectors."""
     if abs(abs(w) - 1.0) > UNIMODULAR_TOL:
         raise NotUnimodular(f"|w| = {abs(w)!r}")
-    out = f.copy()
+    out = x.copy()
     for g, gen in enumerate(tree.generations):
-        phase = w ** g
         lo = tree.index[gen[0]]
-        out.data[lo:lo + len(gen)] *= phase
+        out[lo:lo + len(gen)] *= w ** g
     return out
 
 

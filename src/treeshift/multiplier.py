@@ -12,19 +12,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from ._util import dense_spectral_norm, fit_log_slope, power_norm, stable_rng, worst_of
+from ._util import dense_spectral_norm, fit_log_slope, power_norm, stable_rng, trial_norms, worst_of
 from .errors import DimensionMismatch, NotInCommutant, PreconditionFailed
-from .model import CoeffSeq, _coeff_array, _layer_array, analytic_coeffs
+from .model import CoeffSeq, _coeff_array, _layer_array, _reconstruct_array
+from .model import analytic_coeffs  # noqa: F401  (perfbench's trace tests read it here)
 from .shift import (
     L2Vector,
     SeparatedBasis,
     ShiftOperator,
     _left_inverse_adjoint_array,
+    _random_block,
+    _shift_array,
     apply_adjoint,
-    apply_shift,
 )
 from .tree import VertexId, _prefix_size
 
@@ -169,9 +172,13 @@ def _convolve_array(phi: ScalarSymbol | OpSymbol, coords: np.ndarray) -> np.ndar
         for k, a in enumerate(phi.coeffs):
             out[k:k + length] += a * coords
     else:
+        # The (n, column) rows of a block go through one matrix product per k,
+        # as the rows of one sequence do; a product per column could take a
+        # matrix-vector kernel that rounds differently.
+        rows = np.moveaxis(coords, 1, -1)
+        flat = rows.reshape(-1, coords.shape[1])
         for k in range(phi.length):
-            # both moves are no-ops for one sequence, which keeps its old product
-            term = np.moveaxis(coords, 1, -1) @ phi.mats[k].T
+            term = (flat @ phi.mats[k].T).reshape(rows.shape)
             out[k:k + length] += np.moveaxis(term, -1, 1)
     return out
 
@@ -243,13 +250,10 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
         raise PreconditionFailed(
             f"operator raises generations by {r_A}; no room below depth {tree.depth}")
     phi = extract_symbol(S, basis, A)
-    worst = 0.0
-    for t in range(trials):
-        f = L2Vector.random(tree, f_depth, stable_rng(seed, f"commutant-{t}"))
-        lhs = analytic_coeffs(S, basis, L2Vector(tree, A @ f.data))
-        rhs = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f))
-        upto = lhs.length
-        worst = worst_of(worst, float(np.linalg.norm(lhs.coords - rhs.coords[:upto])))
+    fs = _random_block(tree, f_depth, (stable_rng(seed, f"commutant-{t}") for t in range(trials)))
+    lhs = _coeff_array(S, basis, A @ fs, tree.depth)
+    rhs = _convolve_array(phi, _coeff_array(S, basis, fs, tree.depth))
+    worst = worst_of(0.0, *trial_norms(lhs - rhs[:len(lhs)]))
     return VerificationReport(
         name="commutant-convolution", max_residual=worst, trials=trials,
         exactness_depth=f_depth, details={"commutator_norm": comm_norm})
@@ -378,11 +382,10 @@ def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
 
 
 def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
-                          phi: ScalarSymbol | OpSymbol, max_depth: int, *,
+                          phi: ScalarSymbol | OpSymbol, depths: Iterable[int], *,
                           slope_threshold: float = SLOPE_THRESHOLD,
-                          depths: list[int] | None = None,
                           seed: int = 0) -> MembershipReport:
-    """Estimate compressed multiplication norms on V_{<=d} for d up to max_depth.
+    """Estimate compressed multiplication norms on V_{<=d} for each d of the grid.
 
     Divergence is flagged when the least-squares slope of log-norm against
     depth exceeds the threshold.  Grids shorter than eight depths are marked
@@ -391,10 +394,7 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     deepest of them: each takes the norm of its column prefix.
     """
     tree = S.tree
-    if max_depth > tree.depth:
-        raise PreconditionFailed(f"max_depth {max_depth} exceeds tree depth {tree.depth}")
-    if depths is None:
-        depths = list(range(1, max_depth + 1))
+    depths = list(depths)
     outside = [d for d in depths if not 0 <= d <= tree.depth]
     if outside:
         raise PreconditionFailed(f"grid depths {outside} lie outside 0..{tree.depth}")
@@ -433,16 +433,14 @@ def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
         diagnostic_depth = min(tree.depth, 8)
     verdicts = {}
     for label, sym in (("phi", phi), ("psi", psi)):
-        rep = membership_diagnostic(S, basis, sym, diagnostic_depth, seed=seed)
+        rep = membership_diagnostic(S, basis, sym, range(1, diagnostic_depth + 1), seed=seed)
         verdicts[label] = rep.verdict
-    both = convolve(phi, psi)
-    worst = 0.0
-    for t in range(trials):
-        f = L2Vector.random(tree, tree.depth, stable_rng(seed, f"product-law-{t}"))
-        c = analytic_coeffs(S, basis, f)
-        one = convolve_with_coeffs(phi, convolve_with_coeffs(psi, c))
-        two = convolve_with_coeffs(both, c)
-        worst = worst_of(worst, float(np.linalg.norm(one.coords - two.coords)))
+    fs = _random_block(tree, tree.depth,
+                       (stable_rng(seed, f"product-law-{t}") for t in range(trials)))
+    c = _coeff_array(S, basis, fs, tree.depth)
+    one = _convolve_array(phi, _convolve_array(psi, c))
+    two = _convolve_array(convolve(phi, psi), c)
+    worst = worst_of(0.0, *trial_norms(one - two))
     return VerificationReport(
         name="product-law", max_residual=worst, trials=trials,
         exactness_depth=tree.depth, details=verdicts)
@@ -454,10 +452,15 @@ def scalar_mult_apply(S: ShiftOperator, phi: ScalarSymbol, f: L2Vector) -> L2Vec
     Evaluated as the Horner walk of sum_k phi(k) S^k f with the truncated
     shift, which drops the mass that would leave the last generation.
     """
-    acc = f * phi.coeffs[-1]
+    return L2Vector(S.tree, _scalar_mult_array(S, phi, f.data))
+
+
+def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np.ndarray:
+    """scalar_mult_apply for a vector x (n,) or a block x (n, m) of column vectors."""
+    acc = x * phi.coeffs[-1]
     for c in phi.coeffs[-2::-1]:
-        acc.data[S._n_internal:] = 0.0
-        acc = apply_shift(S, acc) + f * c
+        acc[S._n_internal:] = 0.0
+        acc = _shift_array(S, acc) + x * c
     return acc
 
 
@@ -492,19 +495,15 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
     Both paths are applied to random vectors with enough headroom that the
     image stays inside the truncation.
     """
-    from .model import reconstruct
-
     tree = S.tree
     f_depth = _test_vector_depth(basis, phi.length)
     if f_depth < 0:
         raise PreconditionFailed(f"symbol too long for depth {tree.depth}")
-    worst = 0.0
-    for t in range(trials):
-        f = L2Vector.random(tree, f_depth, stable_rng(seed, f"scalar-equiv-{t}"))
-        direct = scalar_mult_apply(S, phi, f)
-        conv = convolve_with_coeffs(phi, analytic_coeffs(S, basis, f, order=f_depth))
-        via_model = reconstruct(S, basis, conv, support_depth=tree.depth)
-        worst = worst_of(worst, (direct - via_model).norm())
+    fs = _random_block(tree, f_depth,
+                       (stable_rng(seed, f"scalar-equiv-{t}") for t in range(trials)))
+    conv = _convolve_array(phi, _coeff_array(S, basis, fs, f_depth))
+    via_model = _reconstruct_array(S, basis, conv, tree.depth)
+    worst = worst_of(0.0, *trial_norms(_scalar_mult_array(S, phi, fs) - via_model))
     return VerificationReport(
         name="scalar-equivalence", max_residual=worst, trials=trials,
         exactness_depth=f_depth)

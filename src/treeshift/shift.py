@@ -11,7 +11,7 @@ basis whose vectors each live in a single generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -98,6 +98,13 @@ class L2Vector:
 
     def copy(self) -> "L2Vector":
         return L2Vector(self.tree, self.data.copy())
+
+
+def _random_block(tree: Tree, max_generation: int,
+                  rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Block (n, trials) whose columns are L2Vector.random draws, one per rng in turn."""
+    cols = [L2Vector.random(tree, max_generation, rng).data for rng in rngs]
+    return np.stack(cols, axis=-1) if cols else np.zeros((tree.n_vertices, 0), np.complex128)
 
 
 @dataclass
@@ -335,18 +342,22 @@ def is_balanced(S: ShiftOperator) -> tuple[bool, tuple[VertexId, VertexId] | Non
     """Whether ||S e_u|| depends only on the generation |u|, up to BALANCED_TOL.
 
     Returns (True, None) or (False, (u, v)) with a witnessing pair in the
-    first violating generation.
+    first violating generation: the first smallest and first largest norm.
+    The vertices with children are the generations above the last, so one
+    pass over the first _n_internal entries of the cached norms covers them.
     """
     tree = S.tree
-    for gen in tree.generations:
-        internal = [u for u in gen if tree.children[u]]
-        if len(internal) < 2:
-            continue
-        norms = [np.sqrt(S.norm_squares[u]) for u in internal]
-        lo, hi = int(np.argmin(norms)), int(np.argmax(norms))
-        if norms[hi] - norms[lo] > BALANCED_TOL:
-            return False, (internal[lo], internal[hi])
-    return True, None
+    if S._n_internal == 0:
+        return True, None
+    norms = np.sqrt(S._ns[:S._n_internal])
+    starts = np.cumsum([0] + [len(gen) for gen in tree.generations[:-2]])
+    spread = np.maximum.reduceat(norms, starts) - np.minimum.reduceat(norms, starts)
+    bad = np.flatnonzero(spread > BALANCED_TOL)
+    if bad.size == 0:
+        return True, None
+    gen, lo = tree.generations[bad[0]], starts[bad[0]]
+    seg = norms[lo:lo + len(gen)]
+    return False, (gen[int(np.argmin(seg))], gen[int(np.argmax(seg))])
 
 
 def shift_matrix(S: ShiftOperator) -> np.ndarray:

@@ -127,10 +127,10 @@ def test_criterion_2_example_one():
     ]
     for block in bad_blocks:
         sym = ts.two_ray_symbol(basis, alpha, [block])
-        rep = ts.membership_diagnostic(S, basis, sym, depth - 2)
+        rep = ts.membership_diagnostic(S, basis, sym, range(1, depth - 1))
         assert rep.verdict == ts.DIVERGENT, block
     adm = ts.two_ray_admissible_symbol(basis, alpha, 0.7, -0.4, 0.2, 1.1)
-    assert ts.membership_diagnostic(S, basis, adm, depth - 2).verdict == ts.BOUNDED
+    assert ts.membership_diagnostic(S, basis, adm, range(1, depth - 1)).verdict == ts.BOUNDED
 
     # witness partial sums: per-term mass alpha^4 |a-d|^2 / (alpha^2+1)^2
     a, d = 1.0, 0.0

@@ -314,11 +314,12 @@ def test_core_identities_makes_one_left_inverse_pass_per_rank(monkeypatch):
 
 
 def test_example_projection_carries_the_left_iterate(monkeypatch):
-    calls = _count_calls(monkeypatch, shift, "apply_left_inverse")
+    calls = _count_calls(monkeypatch, shift, "_left_inverse_array")
     report = run(RunConfig(suites=("example-t2",)))
     assert not report.failed
-    # 50 vectors, n = 1..13 on the two-ray tree at depth 14.
-    assert len(calls) == 50 * 13
+    # n = 1..13 on the two-ray tree at depth 14: one L pass per power, over
+    # the block of all 50 vectors.
+    assert len(calls) == 13
 
 
 def test_library_does_not_import_scipy():

@@ -268,7 +268,7 @@ def test_commutant_check_above_dense_size():
 
 def test_membership_identity_bounded(t2_shift):
     S, basis = t2_shift
-    rep = ts.membership_diagnostic(S, basis, ts.unit_symbol(2), 12)
+    rep = ts.membership_diagnostic(S, basis, ts.unit_symbol(2), range(1, 13))
     assert rep.verdict == ts.BOUNDED
     assert max(rep.norms) == pytest.approx(1.0, abs=1e-12)
 
@@ -283,7 +283,7 @@ def test_membership_divergent_family(t2_shift):
     ]
     for block in cases:
         sym = ts.two_ray_symbol(basis, alpha, [block])
-        rep = ts.membership_diagnostic(S, basis, sym, 12)
+        rep = ts.membership_diagnostic(S, basis, sym, range(1, 13))
         assert rep.verdict == ts.DIVERGENT, block
 
 
@@ -293,14 +293,14 @@ def test_membership_admissible_bounded(t2_shift):
     for _ in range(3):
         a0, d0, a1, d1 = rng.standard_normal(4)
         sym = ts.two_ray_admissible_symbol(basis, 0.5, a0, d0, a1, d1)
-        rep = ts.membership_diagnostic(S, basis, sym, 12)
+        rep = ts.membership_diagnostic(S, basis, sym, range(1, 13))
         assert rep.verdict == ts.BOUNDED, (a0, d0, a1, d1)
 
 
 def test_membership_scalar_constant_identity(t2_shift):
     S, basis = t2_shift
     sym = ts.two_ray_symbol(basis, 0.5, [np.eye(2) * (1.3 - 0.2j)])
-    rep = ts.membership_diagnostic(S, basis, sym, 12)
+    rep = ts.membership_diagnostic(S, basis, sym, range(1, 13))
     assert rep.verdict == ts.BOUNDED
 
 
@@ -394,7 +394,7 @@ def test_symbol_json_round_trip():
 def test_membership_depth_precondition(t2_shift):
     S, basis = t2_shift
     with pytest.raises(PreconditionFailed):
-        ts.membership_diagnostic(S, basis, ts.unit_symbol(2), S.tree.depth + 1)
+        ts.membership_diagnostic(S, basis, ts.unit_symbol(2), range(1, S.tree.depth + 2))
     # an explicit grid is checked too: depth 9 of a depth-6 tree would read the
     # depth-6 map, and depth -1 a norm of 0
     tree, weights = ts.generate_example("T2", 6, [0.5])
@@ -402,7 +402,7 @@ def test_membership_depth_precondition(t2_shift):
     basis = ts.separated_kernel_basis(S)
     for depths in ([9], [-1]):
         with pytest.raises(PreconditionFailed):
-            ts.membership_diagnostic(S, basis, ts.unit_symbol(2), 3, depths=depths)
+            ts.membership_diagnostic(S, basis, ts.unit_symbol(2), depths)
 
 
 def test_indicator_product_acts_as_cube(t2_shift):
@@ -569,7 +569,7 @@ def _membership_grid_cases():
 def test_membership_grid_matches_per_depth_norms():
     for S, basis, phi, max_depth in _membership_grid_cases():
         depths = list(range(1, max_depth + 1))
-        rep = ts.membership_diagnostic(S, basis, phi, max_depth, seed=3)
+        rep = ts.membership_diagnostic(S, basis, phi, depths, seed=3)
         want = _per_depth_norms(S, basis, phi, depths, seed=3)
         assert rep.norms == [norm for norm, _ in want]
         total = sum(dropped for _, dropped in want)
@@ -588,7 +588,7 @@ def test_membership_grid_mixes_dense_and_power_depths():
     S = ts.ShiftOperator(tree, weights)
     basis = ts.separated_kernel_basis(S)
     phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
-    rep = ts.membership_diagnostic(S, basis, phi, 10, seed=4)
+    rep = ts.membership_diagnostic(S, basis, phi, range(1, 11), seed=4)
     want = _per_depth_norms(S, basis, phi, range(1, 11), seed=4)
     assert rep.norms == [norm for norm, _ in want]
 
@@ -597,7 +597,7 @@ def test_membership_grid_takes_any_depth_list(t2_shift):
     S, basis = t2_shift
     phi = ts.ScalarSymbol(np.array([1.0, -0.5j, 0.25]))
     for depths in ([7, 2, 5, 2, 9], [4, 4], [3], []):
-        rep = ts.membership_diagnostic(S, basis, phi, 9, depths=depths)
+        rep = ts.membership_diagnostic(S, basis, phi, depths)
         assert rep.depths == depths
         assert rep.norms == [norm for norm, _ in _per_depth_norms(S, basis, phi, depths)]
 
@@ -614,5 +614,5 @@ def test_membership_dense_grid_makes_one_coefficient_pass(t2_shift, monkeypatch)
         return inner(*args)
 
     monkeypatch.setattr(multiplier, "_coeff_array", counted)
-    ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), 12)
+    ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), range(1, 13))
     assert calls == [12]
