@@ -77,9 +77,7 @@ def balanced_inner_product_check(S: ShiftOperator, f: L2Vector, g: L2Vector,
     |<S^n f, S^n g> - prod_j ||S e_(par^j u')||^2 <f, g>| for u' in generation
     k + n, where f lives in generation k.
     """
-    ok, witness = is_balanced(S)
-    if not ok:
-        raise NotBalanced(f"witness pair {witness}")
+    _require_balanced(S)
     tree = S.tree
     kf = _single_generation(f)
     _single_generation(g)
@@ -98,6 +96,13 @@ def balanced_inner_product_check(S: ShiftOperator, f: L2Vector, g: L2Vector,
     lhs = sf.inner(sg)
     rhs = prod * f.inner(g)
     return abs(lhs - rhs)
+
+
+def _require_balanced(S: ShiftOperator) -> None:
+    """Raise NotBalanced, with the witnessing pair of is_balanced, unless S is balanced."""
+    ok, witness = is_balanced(S)
+    if not ok:
+        raise NotBalanced(f"witness pair {witness}")
 
 
 def _single_generation(f: L2Vector) -> int:
@@ -143,9 +148,7 @@ def _wold_layers(S: ShiftOperator, basis: SeparatedBasis,
     Part k of column t is the vertex vector parts[:, k, t] of P_E L^k x[:, t],
     for k = 0..depth: one coefficient pass, one basis pass and one Horner walk.
     """
-    ok, witness = is_balanced(S)
-    if not ok:
-        raise NotBalanced(f"witness pair {witness}")
+    _require_balanced(S)
     coords = _coeff_array(S, basis, x, S.tree.depth)
     parts = basis._from_coords_array(np.moveaxis(coords, 0, 1))
     return parts, x - _layer_array(S, basis, coords)
@@ -230,9 +233,7 @@ class RatioBoundsReport:
 
 def ratio_bounds_check(S: ShiftOperator, basis: SeparatedBasis) -> RatioBoundsReport:
     """Check ||S^n e'_i|| / ||S^n e'_j|| within (norm/c)^{|k_i - k_j|} bands."""
-    ok, witness = is_balanced(S)
-    if not ok:
-        raise NotBalanced(f"witness pair {witness}")
+    _require_balanced(S)
     if S.lower_bound <= 0:
         raise PreconditionFailed("shift is not bounded below")
     tree = S.tree
@@ -291,9 +292,7 @@ def kom_characterization_check(S: ShiftOperator, basis: SeparatedBasis,
     symbols collapse side B to one sequence.  Verdicts agree when side A
     detects divergence exactly if some entry on side B does.
     """
-    ok, witness = is_balanced(S)
-    if not ok:
-        raise NotBalanced(f"witness pair {witness}")
+    _require_balanced(S)
     tree = S.tree
     if trunc > tree.depth + 1:
         raise PreconditionFailed(

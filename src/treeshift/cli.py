@@ -483,17 +483,10 @@ _DEFAULT_TREE_SUITES = ("core-identities", "shimorin", "multiplier-algebra", "ha
 
 def run(config: RunConfig) -> Report:
     """Execute the configured suites and assemble the deterministic report."""
-    requested = []
-    for s in config.suites:
-        if s == "all":
-            for name in SUITES:
-                if name not in requested:
-                    requested.append(name)
-        elif s in _SUITE_FUNCS:
-            if s not in requested:
-                requested.append(s)
-        else:
-            raise ConfigError(f"unknown suite {s!r}")
+    unknown = [s for s in config.suites if s != "all" and s not in _SUITE_FUNCS]
+    if unknown:
+        raise ConfigError(f"unknown suite {unknown[0]!r}")
+    requested = set(SUITES) if "all" in config.suites else set(config.suites)
     if config.depth < 2:
         raise ConfigError("depth must be at least 2")
     if config.example and config.example.upper() not in tr.EXAMPLES:
@@ -560,8 +553,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--tol-alg", type=float, default=TOL_ALG)
     runp.add_argument("--tol-power", type=float, default=TOL_POWER)
     runp.add_argument("--slope-threshold", type=float, default=mul.SLOPE_THRESHOLD)
-    runp.add_argument("--parallel", action="store_true",
-                      help="accepted and ignored; suites always run in order")
 
     genp = sub.add_parser("generate", help="emit an example tree spec as JSON")
     genp.add_argument("--example", required=True)
@@ -583,7 +574,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             seed = args.seed
             if seed is None:
-                seed = int(os.environ.get("TREESHIFT_SEED", "0"))
+                raw = os.environ.get("TREESHIFT_SEED", "0")
+                try:
+                    seed = int(raw)
+                except ValueError:
+                    raise ConfigError(f"TREESHIFT_SEED must be an integer, got {raw!r}") from None
             suites = tuple(args.suite) if args.suite else ("all",)
             config = RunConfig(
                 tree_path=args.tree, example=args.example, alpha=args.alpha,
@@ -605,6 +600,7 @@ def main(argv: list[str] | None = None) -> int:
                 tree, weights = _example_tree(args.example or "T2", args.depth, args.alpha)
             S = sh.ShiftOperator(tree, weights)
             basis = sh.separated_kernel_basis(S)
+            balanced, witness = sh.is_balanced(S)
             info = {
                 "vertices": tree.n_vertices,
                 "depth": tree.depth,
@@ -612,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
                 "kernel_generations": [int(k) for k in basis.gen_index],
                 "lower_bound": S.lower_bound,
                 "norm_upper": S.norm_upper,
-                "balanced": is_balanced_str(S),
+                "balanced": "yes" if balanced else f"no (witness {witness})",
                 "basis_vectors": [
                     {str(v): [val.real, val.imag] for v, val in basis.vector(j).as_dict().items()}
                     for j in range(min(basis.dim, 16))
@@ -625,11 +621,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
     return 0
-
-
-def is_balanced_str(S: sh.ShiftOperator) -> str:
-    ok, witness = sh.is_balanced(S)
-    return "yes" if ok else f"no (witness {witness})"
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DepthTooLargeForMemory,
     Inconsistent,
     OutsideDisc,
     SupportOverflow,
@@ -31,7 +32,6 @@ from .shift import (
     apply_adjoint,
     apply_left_inverse,
     apply_left_inverse_adjoint,
-    apply_left_inverse_adjoint_truncating,
 )
 from .tree import _prefix_size
 
@@ -224,20 +224,6 @@ class KernelEval:
     tail_bound: float
 
 
-def _adjoint_power_stack(S: ShiftOperator, basis: SeparatedBasis, order: int) -> list[np.ndarray]:
-    """Dense stacks W_n with columns (L*)^n e'_j, for n = 0..order."""
-    from .errors import DepthTooLargeForMemory
-
-    n_vert = S.tree.n_vertices
-    if n_vert * basis.dim > 2_000_000:
-        raise DepthTooLargeForMemory(
-            "kernel stacks would densify a tree too wide for this evaluation")
-    stacks = [basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))]
-    for _ in range(order):
-        stacks.append(_left_inverse_adjoint_array(S, stacks[-1]))
-    return stacks
-
-
 def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "SpectralRadiusEstimate":
     """Estimate of the spectral radius of L from ||L^k||^(1/k) on the truncation.
 
@@ -251,7 +237,7 @@ def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "Spectral
     tree = S.tree
     steps = max(1, min(iterations, tree.depth))
     diag = L2Vector(tree, np.ones(tree.n_vertices, dtype=np.complex128))
-    ratio = apply_left_inverse_adjoint_truncating(S, diag).data
+    ratio = _left_inverse_adjoint_array(S, diag.data)
     norms: list[float] = []
     roots: list[float] = []
     for k in range(1, steps + 1):
@@ -278,19 +264,23 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
     """Series truncation of the reproducing kernel matrix on E coordinates.
 
     matrix = sum_{m,n <= order} z^m conj(lam)^n P_E L^m (L*)^n restricted to E,
-    assembled from adjoint power stacks.  Requires |z| and |lam| inside the
-    disc of radius 1/rho, for rho an estimate of the spectral radius of L.
+    assembled as Wz* Wl from Horner walks Wz = sum_m conj(z)^m (L*)^m B on the
+    kernel basis block B, so memory does not grow with the order.  Requires
+    |z| and |lam| inside the disc of radius 1/rho, for rho an estimate of the
+    spectral radius of L.
     """
     zmax = max(abs(z), abs(lam))
     if rho * zmax >= 1.0:
         raise OutsideDisc(f"|point| * rho = {rho * zmax:.4f} >= 1")
     order = min(order, S.tree.depth - basis.max_generation)
-    stacks = _adjoint_power_stack(S, basis, order)
-    Wz = np.zeros_like(stacks[0])
-    Wl = np.zeros_like(stacks[0])
-    for m, W in enumerate(stacks):
-        Wz += np.conj(z) ** m * W
-        Wl += np.conj(lam) ** m * W
+    if S.tree.n_vertices * basis.dim > 2_000_000:
+        raise DepthTooLargeForMemory(
+            "kernel stacks would densify a tree too wide for this evaluation")
+    B = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
+    Wz = Wl = B
+    for _ in range(order):
+        Wz = B + np.conj(z) * _left_inverse_adjoint_array(S, Wz)
+        Wl = B + np.conj(lam) * _left_inverse_adjoint_array(S, Wl)
     K = Wz.conj().T @ Wl
     q = rho * zmax
     tail = (q ** (order + 1)) / (1.0 - q) if q < 1 else np.inf
@@ -324,11 +314,10 @@ def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
         order = S.tree.depth - k_e - 1
     order = min(order, S.tree.depth - k_e)
     w = basis.vector(e_index)
-    acc = w.copy()
-    powers = [w]
+    acc = power = w
     for k in range(1, order + 1):
-        powers.append(apply_left_inverse_adjoint(S, powers[-1]))
-        acc = acc + (lam ** k) * powers[-1]
+        power = apply_left_inverse_adjoint(S, power)
+        acc = acc + (lam ** k) * power
     support = min(S.tree.depth, k_e + order)
     # the section carries nonzero coefficients out to its support depth
     kappa_hat = analytic_coeffs(S, basis, acc, support)
@@ -338,5 +327,5 @@ def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
         return EigenResidualReport(residual=0.0, tail_bound=1e-9, order=order)
     lhs = apply_adjoint(S, v)
     residual = (lhs - lam * v).norm() / nv
-    tail = (abs(lam) ** (order + 1)) * powers[-1].norm() / nv + 1e-8
+    tail = (abs(lam) ** (order + 1)) * power.norm() / nv + 1e-8
     return EigenResidualReport(residual=float(residual), tail_bound=float(tail), order=order)

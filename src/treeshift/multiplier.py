@@ -24,10 +24,12 @@ from .shift import (
     L2Vector,
     SeparatedBasis,
     ShiftOperator,
+    _adjoint_array,
     _left_inverse_adjoint_array,
     _random_block,
     _shift_array,
     apply_adjoint,
+    shift_matrix,
 )
 from .tree import VertexId, _prefix_size
 
@@ -40,6 +42,8 @@ SCALAR_DIAGONAL_TOL = 1e-12
 COMMUTE_TOL = 1e-10
 # Spacing of the probed generations of two_ray_divergence_witness.
 WITNESS_STRIDE = 3
+# Most entries of one compressed-map block: the dense map, or a power-path chunk.
+MAP_BLOCK_ENTRIES = 400_000
 
 
 @dataclass
@@ -140,11 +144,7 @@ def convolve(a: ScalarSymbol | OpSymbol, b: ScalarSymbol | OpSymbol) -> ScalarSy
     if isinstance(a, ScalarSymbol) and isinstance(b, ScalarSymbol):
         return ScalarSymbol(np.convolve(a.coeffs, b.coeffs))
     if isinstance(a, ScalarSymbol):
-        assert isinstance(b, OpSymbol)
-        out = np.zeros((a.length + b.length - 1, b.dim, b.dim), dtype=np.complex128)
-        for j, c in enumerate(a.coeffs):
-            out[j:j + b.length] += c * b.mats
-        return OpSymbol(out)
+        return OpSymbol(_convolve_array(a, b.mats))
     if isinstance(b, ScalarSymbol):
         return convolve(b, a)
     if a.dim != b.dim:
@@ -227,20 +227,13 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
 
     For random f, compares P_E L^n (A f) with the convolution of the extracted
     symbol against the coefficients of f, for all n up to the tree depth.
-    Rejects operators whose commutator with the shift exceeds COMMUTE_TOL.  Up
-    to 700 vertices `commutator_norm` is the spectral norm of AS - SA, by a
-    dense SVD; above that it is the Frobenius norm, an upper bound on the
+    Rejects operators whose commutator with the shift exceeds COMMUTE_TOL.
+    `commutator_norm` is the Frobenius norm of AS - SA, an upper bound on the
     spectral norm, so an accepted operator never rests on an underestimate.
     """
-    from .shift import shift_matrix
-
     tree = S.tree
     Smat = shift_matrix(S)
-    comm = A @ Smat - Smat @ A
-    if tree.n_vertices <= 700:
-        comm_norm = dense_spectral_norm(comm)
-    else:
-        comm_norm = float(np.linalg.norm(comm))
+    comm_norm = float(np.linalg.norm(A @ Smat - Smat @ A))
     if comm_norm > COMMUTE_TOL:
         raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e} > {COMMUTE_TOL:g}")
 
@@ -334,11 +327,11 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
     """Adjoint of _apply_symbol_map, back to coefficients over V_{<=d}."""
     tree = S.tree
     length = phi.length + d
-    v = L2Vector(tree, z.astype(np.complex128))
+    v = z.astype(np.complex128)
     ys = np.zeros((length, basis.dim), dtype=np.complex128)
     for m in range(length):
-        ys[m] = basis.coords(v)
-        v = apply_adjoint(S, v)
+        ys[m] = basis._coords_array(v)
+        v = _adjoint_array(S, v)
     _drop_beyond_depth(ys, basis)
     cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
     for k in range(phi.length):
@@ -354,7 +347,7 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
 
 def _is_dense(tree, d: int) -> bool:
     """Whether the compressed map on V_{<=d} is small enough to build and SVD."""
-    return tree.n_vertices * _prefix_size(tree, d) <= 400_000
+    return tree.n_vertices * _prefix_size(tree, d) <= MAP_BLOCK_ENTRIES
 
 
 def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
@@ -363,22 +356,26 @@ def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
     """Operator norm of the compressed multiplication map on V_{<=d}.
 
     Dense SVD when the map fits comfortably in memory, randomized power
-    iteration on the implicit map otherwise.  Returns (norm, dropped mass):
-    on the dense path the sum over the unit-vector columns, on the power path
-    the mass dropped from the image of the all-ones vector.
+    iteration on the implicit map otherwise.  Returns (norm, dropped mass),
+    the mass summed over the unit columns: the power path takes their
+    coefficients in chunks of at most MAP_BLOCK_ENTRIES vertex entries.
     """
     tree = S.tree
     n_in = _prefix_size(tree, d)
     if _is_dense(tree, d):
         mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
         return dense_spectral_norm(mat), float(dropped.sum())
-    _, dropped = _apply_symbol_map(S, basis, phi, d,
-                                   np.ones(n_in, dtype=np.complex128))
+    width = max(1, MAP_BLOCK_ENTRIES // tree.n_vertices)
+    drops = []
+    for start in range(0, n_in, width):
+        units = np.eye(tree.n_vertices, min(width, n_in - start), -start, dtype=np.complex128)
+        drops.append(_drop_beyond_depth(_convolve_array(phi, _coeff_array(S, basis, units, d)), basis))
+    dropped = np.concatenate(drops)
     norm = power_norm(
         lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
         lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
         n_in, iters=150, rng=stable_rng(seed, f"compressed-norm-{d}"))
-    return norm, float(dropped)
+    return norm, float(dropped.sum())
 
 
 def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,

@@ -124,32 +124,20 @@ class ShiftOperator:
     def __post_init__(self) -> None:
         tree = self.tree
         n = tree.n_vertices
-        child_idx = np.empty(n - 1, dtype=np.intp) if n > 1 else np.empty(0, dtype=np.intp)
-        parent_idx = np.empty_like(child_idx)
-        wvec = np.empty(child_idx.shape[0], dtype=np.float64)
-        pos = 0
-        for v in tree.vertices:
-            if v == tree.root:
-                continue
-            child_idx[pos] = tree.index[v]
-            parent_idx[pos] = tree.index[tree.parent[v]]
-            wvec[pos] = self.weights[v]
-            pos += 1
-        self._child_idx = child_idx
-        self._parent_idx = parent_idx
-        self._wvec = wvec
+        # Breadth-first order puts the root first; every later vertex is a child.
+        rest = tree.vertices[1:]
+        self._child_idx = np.arange(1, n, dtype=np.intp)
+        self._parent_idx = np.array([tree.index[tree.parent[v]] for v in rest], dtype=np.intp)
+        self._wvec = np.array([self.weights[v] for v in rest], dtype=np.float64)
 
         ns = np.zeros(n, dtype=np.float64)
-        np.add.at(ns, parent_idx, wvec ** 2)
+        np.add.at(ns, self._parent_idx, self._wvec ** 2)
         self._ns = ns
         # No vertex above the last generation is a leaf, so these vertices, a
         # prefix of the breadth-first order, are exactly those with ns > 0.
-        self._n_internal = n - len(tree.generations[tree.depth])
-        self.norm_squares = {
-            u: float(ns[tree.index[u]])
-            for u in tree.vertices if tree.children[u]}
-        internal = [ns[tree.index[u]] for u in tree.vertices if tree.children[u]]
-        self.lower_bound = float(np.sqrt(min(internal))) if internal else 0.0
+        k = self._n_internal = n - len(tree.generations[tree.depth])
+        self.norm_squares = dict(zip(tree.vertices[:k], ns[:k].tolist()))
+        self.lower_bound = float(np.sqrt(ns[:k].min())) if k else 0.0
 
     @property
     def norm_upper(self) -> float:
@@ -226,15 +214,6 @@ def apply_left_inverse_adjoint(S: ShiftOperator, f: L2Vector) -> L2Vector:
     if f.support_depth() >= S.tree.depth:
         raise SupportOverflow("input touches the last generation")
     return L2Vector(S.tree, out)
-
-
-def apply_left_inverse_adjoint_truncating(S: ShiftOperator, f: L2Vector) -> L2Vector:
-    """Truncated-matrix power convention for L*: last-generation input is dropped.
-
-    This is the exact adjoint of the truncated L, used inside adjoint chains;
-    the strict variant raises instead of dropping.
-    """
-    return L2Vector(S.tree, _left_inverse_adjoint_array(S, f.data))
 
 
 class SeparatedBasis:

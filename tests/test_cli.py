@@ -73,12 +73,11 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parallel_flag_is_ignored(tmp_path):
-    a, b = tmp_path / "seq.jsonl", tmp_path / "par.jsonl"
-    args = ["run", "--suite", "core-identities", "--suite", "harmonics", "--seed", "4"]
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--parallel"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_parallel_flag_is_retired(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "core-identities", "--parallel"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 def test_every_record_name_registered():
@@ -223,6 +222,20 @@ def test_record_status_from_tolerance():
     for resid in (float("nan"), float("inf")):
         rec = _record("left-inverse-identity", residual=resid, tol=float("inf"))
         assert rec.status == "fail" and "not finite" in rec.witness
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3"])
+def test_cli_rejects_non_integer_env_seed(value, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "_SUITE_FUNCS", {
+        name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
+    monkeypatch.setenv("TREESHIFT_SEED", value)
+    assert main(["run"]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: ConfigError: TREESHIFT_SEED must be an integer, got {value!r}"]
 
 
 def test_cli_env_seed(tmp_path, monkeypatch):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import treeshift as ts
 from treeshift._util import stable_rng
 from treeshift.errors import DepthTooLargeForMemory, Inconsistent, OutsideDisc, SupportOverflow
+from treeshift.shift import _left_inverse_adjoint_array
 
 from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
 
@@ -188,6 +191,54 @@ def test_kernel_matrix_stack_memory_guard():
     S = ts.ShiftOperator(tree, weights)
     with pytest.raises(DepthTooLargeForMemory):
         ts.kernel_matrix(S, ts.separated_kernel_basis(S), 0.0, 0.0, order=1, rho=1.0)
+
+
+def _stacked_kernel_matrix(S, basis, z, lam, order):
+    """The kernel matrix summed over a list of dense (L*)^m B stacks, one per power."""
+    stacks = [basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))]
+    for _ in range(order):
+        stacks.append(_left_inverse_adjoint_array(S, stacks[-1]))
+    Wz = np.zeros_like(stacks[0])
+    Wl = np.zeros_like(stacks[0])
+    for m, W in enumerate(stacks):
+        Wz += np.conj(z) ** m * W
+        Wl += np.conj(lam) ** m * W
+    return Wz.conj().T @ Wl
+
+
+def test_kernel_matrix_matches_power_stack_sum(chain_shift):
+    rng = stable_rng(11, "kernel-stack")
+    cases = [ts.generate_example("T2", 12, [0.5]), ts.generate_random_tree(6, 3, 17)]
+    shifts = [chain_shift] + [(S, ts.separated_kernel_basis(S))
+                              for S in (ts.ShiftOperator(*case) for case in cases)]
+    for S, basis in shifts:
+        rho = ts.spectral_radius_estimate(S).estimate
+        order = S.tree.depth
+        k = ts.kernel_matrix(S, basis, 0.0, 0.0, order=order, rho=rho)
+        assert np.array_equal(k.matrix, _stacked_kernel_matrix(S, basis, 0.0, 0.0, k.order))
+        for _ in range(4):
+            z, lam = (complex(*rng.uniform(-0.6, 0.6, 2)) / rho for _ in range(2))
+            k = ts.kernel_matrix(S, basis, z, lam, order=order, rho=rho)
+            want = _stacked_kernel_matrix(S, basis, z, lam, k.order)
+            assert np.linalg.norm(k.matrix - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_kernel_matrix_memory_does_not_grow_with_order():
+    # a stack per power held about 10 times the order-1 peak at order 50
+    tree, weights = ts.generate_example("T2", 60, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    rho = ts.spectral_radius_estimate(S).estimate
+    peaks = []
+    for order in (1, 50):
+        tracemalloc.start()
+        try:
+            k = ts.kernel_matrix(S, basis, 0.5 / rho, 0.25j / rho, order=order, rho=rho)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert k.order == order
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_reproducing_property(t2_shift):

@@ -232,6 +232,8 @@ def test_commutant_check_polynomials(t2_shift, t2):
     cube = np.linalg.matrix_power(smat, 3)
     rep3 = ts.commutant_check(S, basis, cube, trials=10)
     assert rep3.max_residual < 1e-10
+    smat = ts.shift_matrix(S)
+    assert rep3.details["commutator_norm"] == np.linalg.norm(cube @ smat - smat @ cube)
     coeffs = rng.standard_normal(5)
     poly = sum(c * np.linalg.matrix_power(smat, k) for k, c in enumerate(coeffs))
     repp = ts.commutant_check(S, basis, poly, trials=10)
@@ -248,8 +250,8 @@ def test_commutant_check_rejects(t2_shift, t2):
 
 
 def test_commutant_check_above_dense_size():
-    # past 700 vertices the gate is the Frobenius norm of AS - SA, an upper
-    # bound on the spectral norm
+    # on a tree of more than 700 vertices too, the gate is the Frobenius norm
+    # of AS - SA, an upper bound on the spectral norm
     tree, weights = ts.generate_random_tree(11, 3, 0)
     assert tree.n_vertices > 700
     S = ts.ShiftOperator(tree, weights)
@@ -448,6 +450,11 @@ def test_mixed_scalar_op_convolution(t2_shift):
     assert np.linalg.norm(mixed.mats - promoted.mats) < 1e-13
     flipped = ts.convolve(op, sa)
     assert np.linalg.norm(flipped.mats - mixed.mats) < 1e-13
+    # the scalar-times-operator loop that convolve ran before _convolve_array took it over
+    loop = np.zeros((sa.length + op.length - 1, 2, 2), dtype=np.complex128)
+    for j, c in enumerate(sa.coeffs):
+        loop[j:j + op.length] += c * op.mats
+    assert np.array_equal(mixed.mats, loop) and np.array_equal(flipped.mats, loop)
 
 
 def test_scalar_diagonal_detection():
@@ -510,6 +517,64 @@ def test_power_path_maps_are_adjoint():
             assert dropped > 0.0
             az = _apply_symbol_map_adjoint(S, basis, phi, d, z)
             assert abs(np.vdot(z, ax) - np.vdot(az, x)) < 1e-12
+
+
+def _loop_symbol_map_adjoint(S, basis, phi, d, z):
+    """_apply_symbol_map_adjoint walking S* one L2Vector at a time: the oracle."""
+    from treeshift.multiplier import _drop_beyond_depth
+    from treeshift.shift import _left_inverse_adjoint_array
+
+    tree = S.tree
+    length = phi.length + d
+    v = ts.L2Vector(tree, z.astype(np.complex128))
+    ys = np.zeros((length, basis.dim), dtype=np.complex128)
+    for m in range(length):
+        ys[m] = basis.coords(v)
+        v = ts.apply_adjoint(S, v)
+    _drop_beyond_depth(ys, basis)
+    cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
+    for k in range(phi.length):
+        if isinstance(phi, ts.ScalarSymbol):
+            cprime += np.conj(phi.coeffs[k]) * ys[k:k + d + 1]
+        else:
+            cprime += ys[k:k + d + 1] @ phi.mats[k].conj()
+    out = basis._from_coords_array(cprime[d])
+    for n in range(d - 1, -1, -1):
+        out = _left_inverse_adjoint_array(S, out) + basis._from_coords_array(cprime[n])
+    return out[:sum(len(g) for g in tree.generations[:d + 1])]
+
+
+def test_symbol_map_adjoint_matches_vector_loop():
+    from treeshift.multiplier import _apply_symbol_map_adjoint
+
+    rng = stable_rng(2, "adjoint-loop")
+    for S, basis, phi in _power_path_cases():
+        n = S.tree.n_vertices
+        for d in (0, 2, 4):
+            z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.array_equal(_apply_symbol_map_adjoint(S, basis, phi, d, z),
+                                  _loop_symbol_map_adjoint(S, basis, phi, d, z))
+
+
+def test_power_path_dropped_mass_matches_dense(monkeypatch):
+    # both paths sum the mass dropped from each unit column; the all-ones image
+    # read 2.006 against 12.658 on the random tree's scalar case
+    from treeshift import multiplier
+
+    d = 4
+    cases = list(_power_path_cases())
+    S, basis, _ = cases[1]
+    cases.append((S, basis, ts.ScalarSymbol(np.array([1, -0.5j, 0.25, 0.3]))))
+    for S, basis, phi in cases:
+        _, want = ts.compressed_multiplication_norm(S, basis, phi, d)
+        assert want > 0.0
+        with monkeypatch.context() as m:
+            m.setattr(multiplier, "_is_dense", lambda tree, d: False)
+            _, one_chunk = ts.compressed_multiplication_norm(S, basis, phi, d)
+            m.setattr(multiplier, "MAP_BLOCK_ENTRIES", 3 * S.tree.n_vertices)
+            _, chunked = ts.compressed_multiplication_norm(S, basis, phi, d)
+        for got in (one_chunk, chunked):
+            assert abs(got - want) <= 1e-12 * want
 
 
 def test_power_path_norm_matches_dense():

@@ -236,6 +236,43 @@ def test_lower_bound(t2_shift):
     assert S.norm_upper == pytest.approx(np.sqrt(1.25))
 
 
+def _loop_shift_arrays(tree, weights):
+    """The shift's cached arrays filled vertex by vertex, skipping the root: the oracle."""
+    n = tree.n_vertices
+    child_idx = np.empty(max(n - 1, 0), dtype=np.intp)
+    parent_idx = np.empty_like(child_idx)
+    wvec = np.empty(child_idx.shape[0], dtype=np.float64)
+    pos = 0
+    for v in tree.vertices:
+        if v == tree.root:
+            continue
+        child_idx[pos] = tree.index[v]
+        parent_idx[pos] = tree.index[tree.parent[v]]
+        wvec[pos] = weights[v]
+        pos += 1
+    ns = np.zeros(n, dtype=np.float64)
+    np.add.at(ns, parent_idx, wvec ** 2)
+    norm_squares = {u: float(ns[tree.index[u]]) for u in tree.vertices if tree.children[u]}
+    internal = [ns[tree.index[u]] for u in tree.vertices if tree.children[u]]
+    lower_bound = float(np.sqrt(min(internal))) if internal else 0.0
+    return child_idx, parent_idx, wvec, ns, norm_squares, lower_bound
+
+
+def test_shift_arrays_match_vertex_loop(t2, t4_depth2):
+    cases = [t2, t4_depth2, ts.generate_random_tree(7, 3, 5),
+             ts.generate_example("UNILATERAL", 0, [])]
+    for tree, weights in cases:
+        S = ts.ShiftOperator(tree, weights)
+        child_idx, parent_idx, wvec, ns, norm_squares, lower_bound = _loop_shift_arrays(
+            tree, weights)
+        for got, want in ((S._child_idx, child_idx), (S._parent_idx, parent_idx),
+                          (S._wvec, wvec), (S._ns, ns)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert list(S.norm_squares.items()) == list(norm_squares.items())
+        assert S.lower_bound == lower_bound
+        assert S._n_internal == len(norm_squares)
+
+
 def test_l2vector_basics(t2):
     tree, _ = t2
     f = ts.L2Vector.from_dict(tree, {(1, 1): 1 + 2j, (2, 3): -0.5})
