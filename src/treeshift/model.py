@@ -264,10 +264,10 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
     """Series truncation of the reproducing kernel matrix on E coordinates.
 
     matrix = sum_{m,n <= order} z^m conj(lam)^n P_E L^m (L*)^n restricted to E,
-    assembled as Wz* Wl from Horner walks Wz = sum_m conj(z)^m (L*)^m B on the
-    kernel basis block B, so memory does not grow with the order.  Requires
-    |z| and |lam| inside the disc of radius 1/rho, for rho an estimate of the
-    spectral radius of L.
+    assembled as Wz* Wl from one Horner walk of Wz = sum_m conj(z)^m (L*)^m B
+    and Wl on the kernel basis block [B | B], so memory does not grow with the
+    order.  Requires |z| and |lam| inside the disc of radius 1/rho, for rho an
+    estimate of the spectral radius of L.
     """
     zmax = max(abs(z), abs(lam))
     if rho * zmax >= 1.0:
@@ -277,11 +277,12 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
         raise DepthTooLargeForMemory(
             "kernel stacks would densify a tree too wide for this evaluation")
     B = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
-    Wz = Wl = B
+    BB = np.hstack([B, B])
+    scale = np.repeat(np.conj([z, lam]), basis.dim)
+    W = BB
     for _ in range(order):
-        Wz = B + np.conj(z) * _left_inverse_adjoint_array(S, Wz)
-        Wl = B + np.conj(lam) * _left_inverse_adjoint_array(S, Wl)
-    K = Wz.conj().T @ Wl
+        W = BB + scale * _left_inverse_adjoint_array(S, W)
+    K = W[:, :basis.dim].conj().T @ W[:, basis.dim:]
     q = rho * zmax
     tail = (q ** (order + 1)) / (1.0 - q) if q < 1 else np.inf
     return KernelEval(z=z, lam=lam, matrix=K, order=order, tail_bound=float(tail))

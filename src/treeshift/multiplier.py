@@ -42,8 +42,6 @@ SCALAR_DIAGONAL_TOL = 1e-12
 COMMUTE_TOL = 1e-10
 # Spacing of the probed generations of two_ray_divergence_witness.
 WITNESS_STRIDE = 3
-# Most entries of one compressed-map block: the dense map, or a power-path chunk.
-MAP_BLOCK_ENTRIES = 400_000
 
 
 @dataclass
@@ -347,7 +345,43 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
 
 def _is_dense(tree, d: int) -> bool:
     """Whether the compressed map on V_{<=d} is small enough to build and SVD."""
-    return tree.n_vertices * _prefix_size(tree, d) <= MAP_BLOCK_ENTRIES
+    return tree.n_vertices * _prefix_size(tree, d) <= 400_000
+
+
+def _unit_dropped_mass(S: ShiftOperator, basis: SeparatedBasis,
+                       phi: ScalarSymbol | OpSymbol, d: int) -> np.ndarray:
+    """Mass dropped from the image of each unit vector e_v of V_{<=d}, by gathers.
+
+    Coefficient m of e_v is rho_m(v) times the coordinates of e_{par^m v}, and
+    symbol index k drops it exactly when k > depth - |v|.  A scalar symbol
+    keeps the orders in distinct generations, so only ||P_E e_u||^2 = 1 -
+    lambda_u^2 / ||S e_{par u}||^2 enters; an operator symbol is applied to
+    the coordinates of every unit vector.
+    """
+    tree, n_in, length = S.tree, _prefix_size(S.tree, d), phi.length
+    ns = S._ns[S._parent_idx]  # ||S e_{par v}||^2 for v > 0
+    par, ratio = np.append(0, S._parent_idx), np.append(0.0, S._wvec / ns)
+    anc, rho = [np.arange(n_in)], [np.ones(n_in)]
+    for _ in range(d):
+        rho.append(rho[-1] * ratio[anc[-1]])
+        anc.append(par[anc[-1]])
+    sq = np.zeros((length + d, n_in))
+    if isinstance(phi, ScalarSymbol):
+        q = 1.0 - np.append(0.0, S._wvec ** 2 / ns)
+        gen = np.repeat(np.arange(d + 1), [len(g) for g in tree.generations[:d + 1]])
+        weight = np.abs(phi.coeffs[:, None]) ** 2 * (np.arange(length)[:, None] > tree.depth - gen)
+        for m in range(d + 1):
+            sq[m:m + length] += weight * (rho[m] ** 2 * q[anc[m]])
+        return np.sqrt(sq).sum(axis=0)
+    # column u of H[k] is phi(k) times the coordinates of e_u; the H take
+    # about as much memory as phi itself
+    H = [basis._from_coords_array(mat.T).T for mat in phi.mats]
+    for n in range(length + d):
+        over = basis.gen_index + n > tree.depth
+        acc = sum(rho[n - k] * H[k][over][:, anc[n - k]]
+                  for k in range(max(0, n - d), min(length, n + 1)))
+        sq[n] = (np.abs(acc) ** 2).sum(axis=0)
+    return np.sqrt(sq).sum(axis=0)
 
 
 def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
@@ -357,25 +391,19 @@ def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
 
     Dense SVD when the map fits comfortably in memory, randomized power
     iteration on the implicit map otherwise.  Returns (norm, dropped mass),
-    the mass summed over the unit columns: the power path takes their
-    coefficients in chunks of at most MAP_BLOCK_ENTRIES vertex entries.
+    the mass summed over the unit columns; the power path gathers it from
+    the columns' coefficients without building their images.
     """
     tree = S.tree
     n_in = _prefix_size(tree, d)
     if _is_dense(tree, d):
         mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
         return dense_spectral_norm(mat), float(dropped.sum())
-    width = max(1, MAP_BLOCK_ENTRIES // tree.n_vertices)
-    drops = []
-    for start in range(0, n_in, width):
-        units = np.eye(tree.n_vertices, min(width, n_in - start), -start, dtype=np.complex128)
-        drops.append(_drop_beyond_depth(_convolve_array(phi, _coeff_array(S, basis, units, d)), basis))
-    dropped = np.concatenate(drops)
     norm = power_norm(
         lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
         lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
         n_in, iters=150, rng=stable_rng(seed, f"compressed-norm-{d}"))
-    return norm, float(dropped.sum())
+    return norm, float(_unit_dropped_mass(S, basis, phi, d).sum())
 
 
 def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,

@@ -558,8 +558,10 @@ def test_symbol_map_adjoint_matches_vector_loop():
 
 def test_power_path_dropped_mass_matches_dense(monkeypatch):
     # both paths sum the mass dropped from each unit column; the all-ones image
-    # read 2.006 against 12.658 on the random tree's scalar case
+    # read 2.006 against 12.658 on the random tree's scalar case; the power
+    # path gathers the columns' coefficients, per column against the dense map
     from treeshift import multiplier
+    from treeshift.multiplier import _compressed_map_columns, _unit_dropped_mass
 
     d = 4
     cases = list(_power_path_cases())
@@ -568,13 +570,14 @@ def test_power_path_dropped_mass_matches_dense(monkeypatch):
     for S, basis, phi in cases:
         _, want = ts.compressed_multiplication_norm(S, basis, phi, d)
         assert want > 0.0
+        for depth in range(S.tree.depth + 1):
+            _, columns, _ = _compressed_map_columns(S, basis, phi, depth)
+            got = _unit_dropped_mass(S, basis, phi, depth)
+            assert np.all(np.abs(got - columns) <= 1e-13 * columns)
         with monkeypatch.context() as m:
             m.setattr(multiplier, "_is_dense", lambda tree, d: False)
-            _, one_chunk = ts.compressed_multiplication_norm(S, basis, phi, d)
-            m.setattr(multiplier, "MAP_BLOCK_ENTRIES", 3 * S.tree.n_vertices)
-            _, chunked = ts.compressed_multiplication_norm(S, basis, phi, d)
-        for got in (one_chunk, chunked):
-            assert abs(got - want) <= 1e-12 * want
+            _, got = ts.compressed_multiplication_norm(S, basis, phi, d)
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_power_path_norm_matches_dense():
