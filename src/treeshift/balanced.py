@@ -197,6 +197,9 @@ def hinf_membership(a: ScalarSymbol | np.ndarray, beta1: BetaWeights, beta2: Bet
     truncation (one unit per doubling, matching the per-depth calibration).
     Explicit truncation lists and x-coordinates support aligned comparisons.
     """
+    if min([trunc, *(truncs or [])]) < 1:
+        raise PreconditionFailed(
+            f"truncations must be at least 1, got trunc={trunc}, truncs={truncs}")
     coeffs = a.coeffs if isinstance(a, ScalarSymbol) else np.asarray(a, dtype=np.complex128)
     if truncs is None:
         # compressions below 16 coefficients barely see the symbol and their

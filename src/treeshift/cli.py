@@ -338,7 +338,7 @@ def _suite_example_t2(config: RunConfig) -> list[Record]:
                            "pass" if rep2.verdict == mul.BOUNDED else "fail",
                            residual=rep2.slope))
     witness = mul.two_ray_divergence_witness(tree, alpha, depth - 1)
-    image = sh.L2Vector(tree, mul._apply_symbol_map(S, basis, div, depth, witness.data)[0])
+    image = sh.L2Vector(tree, mul._apply_symbol_map(S, basis, div, depth, witness.data))
     per_term = alpha ** 4 / (alpha ** 2 + 1.0) ** 2
     worst_w = 0.0
     for m in range(mul.WITNESS_STRIDE, depth, mul.WITNESS_STRIDE):
@@ -531,8 +531,11 @@ def run(config: RunConfig) -> Report:
     }
     report = Report(config=cfg, records=records)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json_lines())
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json_lines())
+        except OSError as exc:
+            raise ConfigError(f"cannot write report to {config.out}: {exc.strerror}") from exc
     return report
 
 
@@ -591,7 +594,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1 if report.failed else 0
         if args.command == "generate":
             tree, weights = _example_tree(args.example, args.depth, args.alpha)
-            tr.save_tree_spec(tr.tree_to_spec(tree, weights), args.out)
+            try:
+                tr.save_tree_spec(tr.tree_to_spec(tree, weights), args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write tree spec to {args.out}: {exc.strerror}") from exc
             return 0
         if args.command == "inspect":
             if args.tree:

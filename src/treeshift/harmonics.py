@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import kahan_mean_vectors, stable_rng, worst_of
-from .errors import DimensionMismatch, NotUnimodular, QuadratureTooCoarse
+from .errors import BadParams, DimensionMismatch, NotUnimodular, QuadratureTooCoarse
 from .model import _reconstruct_array, analytic_coeffs, reconstruct
 from .multiplier import (
     OpSymbol,
@@ -86,7 +86,7 @@ class FejerSymbol:
 
 def fejer_symbol(n: int) -> FejerSymbol:
     if n < 0:
-        raise ValueError("order must be nonnegative")
+        raise BadParams(f"Fejér order must be nonnegative, got {n}")
     m = np.arange(n + 1)
     return FejerSymbol(n=n, coeffs=1.0 - m / (n + 1.0))
 

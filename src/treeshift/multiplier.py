@@ -31,7 +31,7 @@ from .shift import (
     apply_adjoint,
     shift_matrix,
 )
-from .tree import VertexId, _prefix_size
+from .tree import _prefix_size
 
 BOUNDED = "BoundedSoFar"
 DIVERGENT = "DivergenceDetected"
@@ -268,55 +268,36 @@ class MembershipReport:
     dropped_mass: float = 0.0
 
 
-def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> np.ndarray:
+def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> None:
     """Zero, in place, the components whose layer would leave the truncation.
 
     Component j of coefficient n expands to S^n e'_j, which lives in
     generation gen_index[j] + n; it is dropped when that passes the tree
     depth.  coords has shape (length, dim) or is a block (length, dim, m).
-    Returns the dropped mass per column, the sum over n of the norms dropped:
-    a scalar for one sequence, shape (m,) for a block.
     """
     over = np.add.outer(np.arange(coords.shape[0]), basis.gen_index) > basis.tree.depth
     over = over.reshape(over.shape + (1,) * (coords.ndim - 2))
-    dropped = np.linalg.norm(np.where(over, coords, 0.0), axis=1).sum(axis=0)
     coords[np.broadcast_to(over, coords.shape)] = 0.0
-    return dropped
-
-
-def _compressed_map_columns(S: ShiftOperator, basis: SeparatedBasis,
-                            phi: ScalarSymbol | OpSymbol, d: int) -> tuple[np.ndarray, np.ndarray, list[VertexId]]:
-    """Matrix of f -> expansion of phi * coeffs(f) over unit vectors in V_{<=d}.
-
-    The symbol map applied to the block of all unit vectors at once; the
-    columns are a prefix of the breadth-first vertex order, and the dropped
-    mass of each column is returned with them.  For d' < d the map at depth
-    d' is, bit for bit, the first _prefix_size(tree, d') columns: an input
-    on V_{<=d'} has zero coefficients past order d', so the deeper map's
-    extra orders and Horner layers add exact zeros.
-    """
-    n_in = _prefix_size(S.tree, d)
-    image, dropped = _apply_symbol_map(S, basis, phi, d, np.eye(n_in, dtype=np.complex128))
-    return image, dropped, list(S.tree.vertices[:n_in])
 
 
 def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
-                      phi: ScalarSymbol | OpSymbol, d: int,
-                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expansion of phi * coeffs(f) for f given on V_{<=d}, and the dropped mass.
+                      phi: ScalarSymbol | OpSymbol, d: int, x: np.ndarray) -> np.ndarray:
+    """Expansion of phi * coeffs(f) for f given on V_{<=d}.
 
     x holds the entries of f on V_{<=d}, a prefix of the breadth-first vertex
-    order: one vector (n_in,) or a block (n_in, m) of column vectors.  One
-    coefficient, convolution and layer pass over the whole block; coefficient
-    components whose layer would leave the truncation are dropped, and their
-    mass is returned per column.
+    order: one vector (n_in,) or a block (n_in, m) of column vectors, taken in
+    one coefficient, convolution and layer pass; components whose layer would
+    leave the truncation are dropped.  On np.eye(n_in) it gives the compressed
+    map, whose first _prefix_size(tree, d') columns are, bit for bit, the map
+    at d' < d: an input on V_{<=d'} has zero coefficients past order d', so
+    the extra orders and Horner layers add exact zeros.
     """
     n_in = _prefix_size(S.tree, d)
     f = np.zeros((S.tree.n_vertices,) + x.shape[1:], dtype=np.complex128)
     f[:n_in] = x
     conv = _convolve_array(phi, _coeff_array(S, basis, f, d))
-    dropped = _drop_beyond_depth(conv, basis)
-    return _layer_array(S, basis, conv), dropped
+    _drop_beyond_depth(conv, basis)
+    return _layer_array(S, basis, conv)
 
 
 def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
@@ -376,7 +357,8 @@ def _unit_dropped_mass(S: ShiftOperator, basis: SeparatedBasis,
     # column u of H[k] is phi(k) times the coordinates of e_u; the H take
     # about as much memory as phi itself
     H = [basis._from_coords_array(mat.T).T for mat in phi.mats]
-    for n in range(length + d):
+    # orders below depth + 1 - max_generation drop nothing
+    for n in range(tree.depth + 1 - basis.max_generation, length + d):
         over = basis.gen_index + n > tree.depth
         acc = sum(rho[n - k] * H[k][over][:, anc[n - k]]
                   for k in range(max(0, n - d), min(length, n + 1)))
@@ -384,25 +366,41 @@ def _unit_dropped_mass(S: ShiftOperator, basis: SeparatedBasis,
     return np.sqrt(sq).sum(axis=0)
 
 
+def _compressed_norms(S: ShiftOperator, basis: SeparatedBasis,
+                      phi: ScalarSymbol | OpSymbol, depths: list[int], seed: int) -> list[float]:
+    """Norms of the compressed multiplication map on V_{<=d}, for each d of depths.
+
+    Depths whose map fits comfortably in memory take the spectral norm of a
+    column prefix of one map, built at the deepest of them; the others run
+    randomized power iteration on the implicit map and its adjoint.
+    """
+    tree = S.tree
+    dense = {d for d in depths if _is_dense(tree, d)}
+    if dense:
+        n_max = _prefix_size(tree, max(dense))
+        mat = _apply_symbol_map(S, basis, phi, max(dense), np.eye(n_max, dtype=np.complex128))
+    norms = []
+    for d in depths:
+        n_in = _prefix_size(tree, d)
+        if d in dense:
+            norms.append(dense_spectral_norm(mat[:, :n_in]))
+        else:
+            norms.append(power_norm(
+                lambda x: _apply_symbol_map(S, basis, phi, d, x),
+                lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
+                n_in, iters=150, rng=stable_rng(seed, f"compressed-norm-{d}")))
+    return norms
+
+
 def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
                                    phi: ScalarSymbol | OpSymbol, d: int, *,
                                    seed: int = 0) -> tuple[float, float]:
     """Operator norm of the compressed multiplication map on V_{<=d}.
 
-    Dense SVD when the map fits comfortably in memory, randomized power
-    iteration on the implicit map otherwise.  Returns (norm, dropped mass),
-    the mass summed over the unit columns; the power path gathers it from
-    the columns' coefficients without building their images.
+    Returns (norm, dropped mass), the mass summed over the unit columns and
+    gathered from their coefficients without building their images.
     """
-    tree = S.tree
-    n_in = _prefix_size(tree, d)
-    if _is_dense(tree, d):
-        mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
-        return dense_spectral_norm(mat), float(dropped.sum())
-    norm = power_norm(
-        lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
-        lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
-        n_in, iters=150, rng=stable_rng(seed, f"compressed-norm-{d}"))
+    [norm] = _compressed_norms(S, basis, phi, [d], seed)
     return norm, float(_unit_dropped_mass(S, basis, phi, d).sum())
 
 
@@ -415,27 +413,17 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     Divergence is flagged when the least-squares slope of log-norm against
     depth exceeds the threshold.  Grids shorter than eight depths are marked
     low confidence: the threshold is calibrated for depth ranges reaching 12.
-    The depths on the dense path share one compressed map, built at the
-    deepest of them: each takes the norm of its column prefix.
+    The dropped mass is gathered once, at the deepest grid depth: each depth
+    sums the prefix of its unit columns.
     """
     tree = S.tree
     depths = list(depths)
     outside = [d for d in depths if not 0 <= d <= tree.depth]
     if outside:
         raise PreconditionFailed(f"grid depths {outside} lie outside 0..{tree.depth}")
-    dense = [d for d in depths if _is_dense(tree, d)]
-    if dense:
-        mat, drops, _ = _compressed_map_columns(S, basis, phi, max(dense))
-    norms: list[float] = []
-    dropped_total = 0.0
-    for d in depths:
-        if _is_dense(tree, d):
-            n_in = _prefix_size(tree, d)
-            norm, dropped = dense_spectral_norm(mat[:, :n_in]), float(drops[:n_in].sum())
-        else:
-            norm, dropped = compressed_multiplication_norm(S, basis, phi, d, seed=seed)
-        dropped_total += dropped
-        norms.append(norm)
+    norms = _compressed_norms(S, basis, phi, depths, seed)
+    drops = _unit_dropped_mass(S, basis, phi, max(depths, default=0))
+    dropped_total = sum((float(drops[:_prefix_size(tree, d)].sum()) for d in depths), 0.0)
     slope = fit_log_slope(depths, norms)
     verdict = DIVERGENT if slope > slope_threshold else BOUNDED
     return MembershipReport(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,15 @@ def test_hinf_identity_norm_one():
     rep = ts.hinf_membership(ts.ScalarSymbol(np.array([1.0])), beta, beta, 64)
     assert all(n == pytest.approx(1.0, abs=1e-12) for n in rep.norms)
     assert rep.verdict == ts.BOUNDED
+
+
+@pytest.mark.parametrize("trunc, truncs", [(0, None), (-3, None), (8, [4, 0, 8])])
+def test_hinf_truncation_below_one_is_rejected(trunc, truncs):
+    beta = ts.BetaWeights(np.ones(16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionFailed):
+            ts.hinf_membership(ts.ScalarSymbol(np.array([1.0])), beta, beta, trunc, truncs=truncs)
 
 
 def test_hinf_geometric_converges_to_two():

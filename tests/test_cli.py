@@ -200,6 +200,23 @@ def test_cli_rejects_unhashable_label(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--suite", "balanced", "--out"],
+    ["generate", "--example", "T2", "--depth", "3", "--out"],
+])
+def test_cli_unwritable_out_is_config_error(argv, tmp_path, capsys):
+    # the report is written after the suites run; a path in a missing
+    # directory still ends in one error line and exit code 2
+    target = tmp_path / "missing" / "out.json"
+    assert main(argv + [str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError")
+    assert str(target) in lines[0]
+    assert not target.parent.exists()
+
+
 def test_record_nonfinite_residual_fails():
     from treeshift.cli import _record
 

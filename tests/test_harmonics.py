@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import NotUnimodular, QuadratureTooCoarse
+from treeshift.errors import BadParams, NotUnimodular, QuadratureTooCoarse
 
 angles = st.floats(0.0, 2 * np.pi, allow_nan=False)
 
@@ -123,6 +125,13 @@ def test_fejer_values():
     fj8 = ts.fejer_symbol(8)
     assert fj8.coeffs[0] == 1.0
     assert all(a >= b for a, b in zip(fj8.coeffs, fj8.coeffs[1:]))
+
+
+def test_fejer_negative_order_is_bad_params():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            ts.fejer_symbol(-1)
 
 
 def test_fejer_truncate():

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 import treeshift as ts
 from treeshift._util import stable_rng
 from treeshift.errors import DimensionMismatch, NotInCommutant, PreconditionFailed
+from treeshift.tree import _prefix_size
 
 from conftest import oracle_shift_matrix
 
@@ -468,18 +469,40 @@ def test_scalar_diagonal_detection():
         off.scalar_part()
 
 
+def _unit_block(tree, d):
+    """The unit vectors of V_{<=d} as the columns of one block."""
+    return np.eye(_prefix_size(tree, d), dtype=np.complex128)
+
+
+def _where_dropped_mass(S, basis, phi, d, x):
+    """Mass the truncation drops from the convolved coefficients of each column
+    of x, a vector or block on V_{<=d}, as a masked norm summed over the
+    orders: the oracle for the gathered _unit_dropped_mass."""
+    from treeshift.model import _coeff_array
+    from treeshift.multiplier import _convolve_array
+
+    f = np.zeros((S.tree.n_vertices,) + x.shape[1:], dtype=np.complex128)
+    f[:len(x)] = x
+    conv = _convolve_array(phi, _coeff_array(S, basis, f, d))
+    over = np.add.outer(np.arange(len(conv)), basis.gen_index) > S.tree.depth
+    over = over.reshape(over.shape + (1,) * (conv.ndim - 2))
+    return np.linalg.norm(np.where(over, conv, 0.0), axis=1).sum(axis=0)
+
+
 def test_compressed_map_matches_literal_reconstruct(t2_shift):
     # dual route: the diagnostic's map columns equal reconstruct applied to
     # the convolved coefficients of each unit vector
-    from treeshift.multiplier import _compressed_map_columns
+    from treeshift.multiplier import _apply_symbol_map, _unit_dropped_mass
 
     S, basis = t2_shift
     tree = S.tree
     phi = ts.ScalarSymbol(np.array([1.0, -0.5j, 0.25]))
     d = 4
-    mat, dropped, cols = _compressed_map_columns(S, basis, phi, d)
-    assert np.all(dropped == 0.0)
-    for ci, v in enumerate(cols):
+    units = _unit_block(tree, d)
+    mat = _apply_symbol_map(S, basis, phi, d, units)
+    assert np.all(_where_dropped_mass(S, basis, phi, d, units) == 0.0)
+    assert np.all(_unit_dropped_mass(S, basis, phi, d) == 0.0)
+    for ci, v in enumerate(tree.vertices[:len(units)]):
         c = ts.analytic_coeffs(S, basis, ts.L2Vector.basis(tree, v), order=d)
         conv = ts.convolve_with_coeffs(phi, c)
         g = ts.reconstruct(S, basis, conv,
@@ -513,8 +536,8 @@ def test_power_path_maps_are_adjoint():
             z = rng.standard_normal(S.tree.n_vertices) + 1j * rng.standard_normal(S.tree.n_vertices)
             x /= np.linalg.norm(x)
             z /= np.linalg.norm(z)
-            ax, dropped = _apply_symbol_map(S, basis, phi, d, x)
-            assert dropped > 0.0
+            ax = _apply_symbol_map(S, basis, phi, d, x)
+            assert _where_dropped_mass(S, basis, phi, d, x) > 0.0
             az = _apply_symbol_map_adjoint(S, basis, phi, d, z)
             assert abs(np.vdot(z, ax) - np.vdot(az, x)) < 1e-12
 
@@ -556,42 +579,64 @@ def test_symbol_map_adjoint_matches_vector_loop():
                                   _loop_symbol_map_adjoint(S, basis, phi, d, z))
 
 
-def test_power_path_dropped_mass_matches_dense(monkeypatch):
-    # both paths sum the mass dropped from each unit column; the all-ones image
-    # read 2.006 against 12.658 on the random tree's scalar case; the power
-    # path gathers the columns' coefficients, per column against the dense map
-    from treeshift import multiplier
-    from treeshift.multiplier import _compressed_map_columns, _unit_dropped_mass
-
-    d = 4
+def _dropped_mass_cases():
     cases = list(_power_path_cases())
     S, basis, _ = cases[1]
     cases.append((S, basis, ts.ScalarSymbol(np.array([1, -0.5j, 0.25, 0.3]))))
-    for S, basis, phi in cases:
-        _, want = ts.compressed_multiplication_norm(S, basis, phi, d)
+    return cases
+
+
+def test_power_path_dropped_mass_matches_dense(monkeypatch):
+    # both paths sum the mass dropped from each unit column; the all-ones image
+    # read 2.006 against 12.658 on the random tree's scalar case; the gather
+    # against the masked norm of each column's convolved coefficients
+    from treeshift import multiplier
+    from treeshift.multiplier import _unit_dropped_mass
+
+    d = 4
+    for S, basis, phi in _dropped_mass_cases():
+        want = _where_dropped_mass(S, basis, phi, d, _unit_block(S.tree, d)).sum()
         assert want > 0.0
         for depth in range(S.tree.depth + 1):
-            _, columns, _ = _compressed_map_columns(S, basis, phi, depth)
+            columns = _where_dropped_mass(S, basis, phi, depth, _unit_block(S.tree, depth))
             got = _unit_dropped_mass(S, basis, phi, depth)
             assert np.all(np.abs(got - columns) <= 1e-13 * columns)
+        _, got = ts.compressed_multiplication_norm(S, basis, phi, d)
+        assert abs(got - want) <= 1e-12 * want
         with monkeypatch.context() as m:
             m.setattr(multiplier, "_is_dense", lambda tree, d: False)
             _, got = ts.compressed_multiplication_norm(S, basis, phi, d)
         assert abs(got - want) <= 1e-12 * want
 
 
+def test_unit_dropped_mass_is_prefix_of_deeper_gather():
+    # membership_diagnostic gathers once, at the deepest grid depth, and sums
+    # each depth's column prefix: that is the gather at the depth, bit for bit
+    from treeshift.multiplier import _unit_dropped_mass
+
+    cases = [case[:3] for case in _membership_grid_cases()] + _dropped_mass_cases()
+    tree, weights = ts.generate_random_tree(10, 3, 14)
+    S = ts.ShiftOperator(tree, weights)
+    cases.append((S, ts.separated_kernel_basis(S), ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))))
+    for S, basis, phi in cases:
+        deepest = _unit_dropped_mass(S, basis, phi, S.tree.depth)
+        for d in range(S.tree.depth):
+            n_in = _prefix_size(S.tree, d)
+            assert np.array_equal(_unit_dropped_mass(S, basis, phi, d), deepest[:n_in])
+
+
 def test_power_path_norm_matches_dense():
     from treeshift._util import dense_spectral_norm, power_norm
-    from treeshift.multiplier import (_apply_symbol_map, _apply_symbol_map_adjoint,
-                                      _compressed_map_columns)
+    from treeshift.multiplier import _apply_symbol_map, _apply_symbol_map_adjoint
 
     d = 4
     for S, basis, phi in _power_path_cases():
-        n_in = sum(len(g) for g in S.tree.generations[:d + 1])
-        mat, dropped, _ = _compressed_map_columns(S, basis, phi, d)
-        assert dropped.sum() > 0.0
+        units = _unit_block(S.tree, d)
+        n_in = len(units)
+        mat = _apply_symbol_map(S, basis, phi, d, units)
+        assert _where_dropped_mass(S, basis, phi, d, units).sum() > 0.0
         want = dense_spectral_norm(mat)
-        got = power_norm(lambda x: _apply_symbol_map(S, basis, phi, d, x)[0],
+        got = power_norm(lambda x: _apply_symbol_map(S, basis, phi, d, x),
                          lambda z: _apply_symbol_map_adjoint(S, basis, phi, d, z),
                          n_in, iters=150, rng=stable_rng(0, f"compressed-norm-{d}"))
         assert abs(got - want) <= 1e-8 * want
@@ -599,17 +644,19 @@ def test_power_path_norm_matches_dense():
 
 def test_compressed_map_matches_symbol_map_per_vector():
     # the block pass against the per-vector forward map, one unit vector at a
-    # time, for a scalar and an operator symbol that both drop mass
-    from treeshift.multiplier import _apply_symbol_map, _compressed_map_columns
+    # time, for a scalar and an operator symbol that both drop mass; the
+    # gathered mass against each vector's masked coefficients
+    from treeshift.multiplier import _apply_symbol_map, _unit_dropped_mass
 
     d = 4
     for S, basis, phi in _power_path_cases():
-        mat, dropped, cols = _compressed_map_columns(S, basis, phi, d)
-        per_vector = np.zeros(len(cols))
-        for ci in range(len(cols)):
-            x = np.zeros(len(cols), dtype=np.complex128)
-            x[ci] = 1.0
-            image, per_vector[ci] = _apply_symbol_map(S, basis, phi, d, x)
+        units = _unit_block(S.tree, d)
+        mat = _apply_symbol_map(S, basis, phi, d, units)
+        dropped = _unit_dropped_mass(S, basis, phi, d)
+        per_vector = np.zeros(len(units))
+        for ci, x in enumerate(units):
+            image = _apply_symbol_map(S, basis, phi, d, x)
+            per_vector[ci] = _where_dropped_mass(S, basis, phi, d, x)
             assert np.linalg.norm(mat[:, ci] - image) <= 1e-13 * max(1.0, np.linalg.norm(image))
         assert dropped.sum() > 0.0
         assert np.all(np.abs(dropped - per_vector) <= 1e-13 * per_vector)
@@ -668,6 +715,13 @@ def test_membership_grid_takes_any_depth_list(t2_shift):
         rep = ts.membership_diagnostic(S, basis, phi, depths)
         assert rep.depths == depths
         assert rep.norms == [norm for norm, _ in _per_depth_norms(S, basis, phi, depths)]
+
+
+def test_membership_empty_grid(t2_shift):
+    S, basis = t2_shift
+    rep = ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), [])
+    assert rep.depths == [] and rep.norms == []
+    assert rep.slope == 0.0 and rep.dropped_mass == 0.0
 
 
 def test_membership_dense_grid_makes_one_coefficient_pass(t2_shift, monkeypatch):
