@@ -7,6 +7,13 @@ import zlib
 
 import numpy as np
 
+from .errors import DepthTooLargeForMemory
+
+# The one memory budget: the most complex entries that one dense evaluation
+# may hold at once (32 MB).  Larger evaluations raise DepthTooLargeForMemory
+# before they allocate anything.
+MAX_DENSE_ENTRIES = 2_000_000
+
 
 def stable_rng(seed: int, label: str) -> np.random.Generator:
     """Generator seeded by (seed, label) in a platform-independent way.
@@ -29,6 +36,12 @@ def kahan_mean_vectors(vectors) -> np.ndarray:
         comp = (s - total) - y
         total = s
     return total / len(vectors)
+
+
+def check_dense_entries(entries: int, message: str) -> None:
+    """Raise DepthTooLargeForMemory(message) when entries exceed MAX_DENSE_ENTRIES."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise DepthTooLargeForMemory(message)
 
 
 def worst_of(*values: float) -> float:

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import multiplier as mul
 from . import shift as sh
 from . import tree as tr
 from ._util import stable_rng, trial_norms, worst_of
-from .errors import BadParams, ConfigError, TreeShiftError
+from .errors import BadParams, ConfigError, DepthTooLargeForMemory, TreeShiftError
 
 TOL_ALG = 1e-12
 TOL_POWER = 1e-10
@@ -83,6 +83,9 @@ class RunConfig:
     tol_power: float = TOL_POWER
     slope_threshold: float = mul.SLOPE_THRESHOLD
     out: str | None = None
+    # The tree battery, built by the first suite that needs it; run() works on
+    # a copy of the config, so no two runs share one.
+    _battery: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -170,9 +173,16 @@ def _default_trees(config: RunConfig):
     return out
 
 
+def _trees(config: RunConfig):
+    """_default_trees(config), built once per config; a failed build is retried."""
+    if config._battery is None:
+        config._battery = _default_trees(config)
+    return config._battery
+
+
 def _suite_core_identities(config: RunConfig) -> list[Record]:
     records = []
-    for label, tree, weights in _default_trees(config):
+    for label, tree, weights in _trees(config):
         S = sh.ShiftOperator(tree, weights)
         basis = sh.separated_kernel_basis(S)
         rng = stable_rng(config.seed, f"core-{label}")
@@ -210,7 +220,7 @@ def _suite_core_identities(config: RunConfig) -> list[Record]:
 
 def _suite_shimorin(config: RunConfig) -> list[Record]:
     records = []
-    for label, tree, weights in _default_trees(config):
+    for label, tree, weights in _trees(config):
         S = sh.ShiftOperator(tree, weights)
         basis = sh.separated_kernel_basis(S)
         rng = stable_rng(config.seed, f"shimorin-{label}")
@@ -238,54 +248,33 @@ def _suite_shimorin(config: RunConfig) -> list[Record]:
 
 def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
     records = []
-    label, tree, weights = _default_trees(config)[0]
+    label, tree, weights = _trees(config)[0]
     S = sh.ShiftOperator(tree, weights)
     basis = sh.separated_kernel_basis(S)
     rng = stable_rng(config.seed, "mult-algebra")
-    dim = basis.dim
-    worst_unit = worst_assoc = worst_comm = 0.0
-    for _ in range(25):
-        a = mul.OpSymbol(rng.standard_normal((3, dim, dim))
-                         + 1j * rng.standard_normal((3, dim, dim)))
-        b = mul.OpSymbol(rng.standard_normal((4, dim, dim))
-                         + 1j * rng.standard_normal((4, dim, dim)))
-        c = mul.OpSymbol(rng.standard_normal((2, dim, dim))
-                         + 1j * rng.standard_normal((2, dim, dim)))
-        unit = mul.unit_symbol(dim)
-        au = mul.convolve(a, unit)
-        worst_unit = worst_of(worst_unit, float(np.linalg.norm(au.mats[:a.length] - a.mats)))
-        one = mul.convolve(mul.convolve(a, b), c)
-        two = mul.convolve(a, mul.convolve(b, c))
-        worst_assoc = worst_of(worst_assoc, float(np.linalg.norm(one.mats - two.mats)))
-        sa = mul.ScalarSymbol(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        sb = mul.ScalarSymbol(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-        ab = mul.convolve(sa, sb)
-        ba = mul.convolve(sb, sa)
-        worst_comm = worst_of(worst_comm, float(np.linalg.norm(ab.coeffs - ba.coeffs)))
+    worst_unit, worst_assoc, worst_comm = mul._convolution_law_trials(basis.dim, rng, 25)
     records.append(_record("convolution-unit", residual=worst_unit, tol=config.tol_alg,
                            tree=label))
     records.append(_record("convolution-associative", residual=worst_assoc, tol=1e-10,
                            tree=label))
     records.append(_record("scalar-commutative", residual=worst_comm, tol=config.tol_alg,
                            tree=label))
-    Smat = sh.shift_matrix(S)
     n_max = max(1, tree.depth - basis.max_generation)
-    phi = mul.extract_symbol(S, basis, Smat)
-    eye = np.eye(dim)
+    phi = mul.extract_symbol(S, basis, sh._shift_power_map(S, 1))
+    eye = np.eye(basis.dim)
     resid = float(np.linalg.norm(phi.mats[1] - eye)) if n_max >= 1 else 0.0
     for m in range(min(phi.length, n_max + 1)):
         if m != 1:
             resid = worst_of(resid, float(np.linalg.norm(phi.mats[m])))
+    del phi  # the commutant checks below extract a symbol of their own
     records.append(_record("power-symbol", residual=resid, tol=config.tol_power,
                            exactness_depth=n_max, tree=label))
-    rep = mul.commutant_check(S, basis, Smat @ Smat, seed=config.seed)
+    rep = mul.commutant_check(S, basis, sh._shift_power_map(S, 2), seed=config.seed)
     records.append(_record("commutant-convolution", residual=rep.max_residual,
                            tol=config.tol_power, exactness_depth=rep.exactness_depth,
                            tree=label))
-    proj = np.zeros_like(Smat)
-    proj[0, 0] = 1.0
     try:
-        mul.commutant_check(S, basis, proj, seed=config.seed)
+        mul.commutant_check(S, basis, _root_projection, seed=config.seed)
         records.append(_record("noncommutant-rejected", "fail", witness="projection accepted"))
     except mul.NotInCommutant:
         records.append(_record("noncommutant-rejected", "pass", tree=label))
@@ -299,6 +288,13 @@ def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
                            tol=config.tol_power, exactness_depth=rep.exactness_depth,
                            tree=label))
     return records
+
+
+def _root_projection(x: np.ndarray) -> np.ndarray:
+    """x -> e_root x(root) on a vector (n,) or a block (n, m): no commuting operator."""
+    out = np.zeros_like(x)
+    out[0] = x[0]
+    return out
 
 
 def _suite_example_t2(config: RunConfig) -> list[Record]:
@@ -370,7 +366,7 @@ def _two_ray_projection(tree, fs, n, alpha):
 
 def _suite_harmonics(config: RunConfig) -> list[Record]:
     records = []
-    label, tree, weights = _default_trees(config)[0]
+    label, tree, weights = _trees(config)[0]
     S = sh.ShiftOperator(tree, weights)
     basis = sh.separated_kernel_basis(S)
     rng = stable_rng(config.seed, "harmonics")
@@ -507,17 +503,21 @@ def run(config: RunConfig) -> Report:
         except BadParams as exc:
             raise ConfigError(f"alpha {config.alpha!r} cannot build the T2 tree: {exc}") from exc
 
+    config = replace(config)
+
     def call(name: str) -> list[Record]:
         try:
             return _SUITE_FUNCS[name](config)
+        except MemoryError as exc:
+            error = DepthTooLargeForMemory(f"out of memory: {exc}")
         except TreeShiftError as exc:
-            rec = Record(name=f"{name}", law="suite execution",
-                         status="fail", witness=f"{type(exc).__name__}: {exc}")
-            return [rec]
+            error = exc
+        return [Record(name=name, law="suite execution", status="fail",
+                       witness=f"{type(error).__name__}: {error}")]
 
     if config.tree_path:
         try:
-            tr.build_tree(tr.load_tree_spec(config.tree_path))
+            _trees(config)
         except TreeShiftError as exc:
             raise ConfigError(f"cannot use tree source {config.tree_path}: {exc}") from exc
 

@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DepthTooLargeForMemory,
-    Inconsistent,
-    OutsideDisc,
-    SupportOverflow,
-    UnderdeterminedWarning,
-)
+from ._util import check_dense_entries
+from .errors import Inconsistent, OutsideDisc, SupportOverflow, UnderdeterminedWarning
 from .shift import (
     L2Vector,
     SeparatedBasis,
@@ -273,9 +268,8 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
     if rho * zmax >= 1.0:
         raise OutsideDisc(f"|point| * rho = {rho * zmax:.4f} >= 1")
     order = min(order, S.tree.depth - basis.max_generation)
-    if S.tree.n_vertices * basis.dim > 2_000_000:
-        raise DepthTooLargeForMemory(
-            "kernel stacks would densify a tree too wide for this evaluation")
+    check_dense_entries(S.tree.n_vertices * basis.dim,
+                        "kernel stacks would densify a tree too wide for this evaluation")
     B = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
     BB = np.hstack([B, B])
     scale = np.repeat(np.conj([z, lam]), basis.dim)

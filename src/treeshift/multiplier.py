@@ -3,9 +3,10 @@
 A scalar symbol acts on vertex space through weighted ancestor sums; an
 operator symbol is a sequence of matrices on ker S* acting on model
 coefficients through convolution.  Commutant symbols are extracted by
-compressing powers of the left inverse, and membership in the multiplier
-algebra is probed at desk scale by the growth of compressed operator norms
-across support depths.
+compressing powers of the left inverse against an operator, given as a dense
+matrix or as a block map from (n,) or (n, m) to the same shape, and
+membership in the multiplier algebra is probed at desk scale by the growth of
+compressed operator norms across support depths.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import dense_spectral_norm, fit_log_slope, power_norm, stable_rng, trial_norms, worst_of
+from ._util import (
+    check_dense_entries,
+    dense_spectral_norm,
+    fit_log_slope,
+    power_norm,
+    stable_rng,
+    trial_norms,
+    worst_of,
+)
 from .errors import DimensionMismatch, NotInCommutant, PreconditionFailed
 from .model import CoeffSeq, _coeff_array, _layer_array, _reconstruct_array
 from .model import analytic_coeffs  # noqa: F401  (perfbench's trace tests read it here)
@@ -28,8 +37,8 @@ from .shift import (
     _left_inverse_adjoint_array,
     _random_block,
     _shift_array,
+    _shift_power_map,
     apply_adjoint,
-    shift_matrix,
 )
 from .tree import _prefix_size
 
@@ -97,7 +106,8 @@ class OpSymbol:
     def is_scalar_diagonal(self) -> bool:
         eye = np.eye(self.dim)
         for m in self.mats:
-            if np.linalg.norm(m - m[0, 0] * eye) > SCALAR_DIAGONAL_TOL * max(1.0, abs(m[0, 0])):
+            # a NaN entry fails the comparison, so it is never scalar-diagonal
+            if not np.linalg.norm(m - m[0, 0] * eye) <= SCALAR_DIAGONAL_TOL * max(1.0, abs(m[0, 0])):
                 return False
         return True
 
@@ -147,11 +157,61 @@ def convolve(a: ScalarSymbol | OpSymbol, b: ScalarSymbol | OpSymbol) -> ScalarSy
         return convolve(b, a)
     if a.dim != b.dim:
         raise DimensionMismatch(f"symbol dimensions {a.dim} and {b.dim} differ")
-    out = np.zeros((a.length + b.length - 1, a.dim, a.dim), dtype=np.complex128)
-    for j in range(a.length):
-        for k in range(b.length):
-            out[j + k] += a.mats[j] @ b.mats[k]
-    return OpSymbol(out)
+    out = np.empty((a.length + b.length - 1, a.dim, a.dim), dtype=np.complex128)
+    return OpSymbol(_cauchy(a.mats, b.mats, out, np.empty(out.shape[1:], dtype=np.complex128)))
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Cauchy product of the matrix sequences a (la, d, d) and b (lb, d, d), written
+    into out (la + lb - 1, d, d); tmp is a (d, d) buffer for each matrix product."""
+    out.fill(0.0)
+    for j in range(len(a)):
+        for k in range(len(b)):
+            np.matmul(a[j], b[k], out=tmp)
+            out[j + k] += tmp
+    return out
+
+
+def _convolution_law_trials(dim: int, rng: np.random.Generator,
+                            trials: int) -> tuple[float, float, float]:
+    """Worst residuals of the unit law, associativity and scalar commutativity.
+
+    Each trial draws operator symbols a, b, c of lengths 3, 4 and 2 at this
+    dimension, then scalar symbols of lengths 4 and 3, and compares a * unit
+    with a, (a * b) * c with a * (b * c), and the two scalar products.  The
+    draws come from rng in that order, the real part of a symbol before its
+    imaginary part, and give the same bits as re + 1j * im.  Every buffer is
+    allocated once, about 36 dim^2 complex entries, and a dimension whose
+    buffers exceed the memory budget raises DepthTooLargeForMemory first.
+    """
+    check_dense_entries(36 * dim * dim,
+                        f"convolution-law trials at kernel dimension {dim} need "
+                        f"{36 * dim * dim:,} dense entries, above the memory budget")
+    shape = (dim, dim)
+    real = np.empty((4,) + shape)
+    a, b, c = (np.empty((n,) + shape, dtype=np.complex128) for n in (3, 4, 2))
+    unit = unit_symbol(dim).mats
+    pair = np.empty((6,) + shape, dtype=np.complex128)  # a * b, then b * c
+    au, one, two = (np.empty((n,) + shape, dtype=np.complex128) for n in (3, 7, 7))
+    tmp = np.empty(shape, dtype=np.complex128)
+    worst_unit = worst_assoc = worst_comm = 0.0
+    for _ in range(trials):
+        for sym in (a, b, c):
+            part = real[:len(sym)]
+            sym.real = rng.standard_normal(out=part)
+            sym.imag = rng.standard_normal(out=part)
+        _cauchy(a, unit, au, tmp)
+        au -= a
+        worst_unit = worst_of(worst_unit, float(np.linalg.norm(au)))
+        _cauchy(_cauchy(a, b, pair, tmp), c, one, tmp)
+        _cauchy(a, _cauchy(b, c, pair[:5], tmp), two, tmp)
+        one -= two
+        worst_assoc = worst_of(worst_assoc, float(np.linalg.norm(one)))
+        sa = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        sb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        worst_comm = worst_of(worst_comm, float(np.linalg.norm(
+            np.convolve(sa, sb) - np.convolve(sb, sa))))
+    return worst_unit, worst_assoc, worst_comm
 
 
 def convolve_with_coeffs(phi: ScalarSymbol | OpSymbol, c: CoeffSeq) -> CoeffSeq:
@@ -181,31 +241,83 @@ def _convolve_array(phi: ScalarSymbol | OpSymbol, coords: np.ndarray) -> np.ndar
     return out
 
 
-def generation_raise(tree, A: np.ndarray) -> int:
-    """Largest generation increase the matrix A can produce, from its sparsity.
+def _as_block_map(tree, A):
+    """The operator A as a block map, (n,) or (n, m) to the same shape.
 
-    An entry counts when its modulus is above 0, so a NaN entry does not.
+    A callable is taken as such a map; a dense matrix must be (n, n) and
+    becomes x -> A @ x.
     """
-    gens = np.array([tree.generation[v] for v in tree.vertices])
-    rows, cols = np.nonzero(np.abs(A) > 0)
-    if rows.size == 0:
-        return 0
-    return int(np.max(gens[rows] - gens[cols]))
+    if callable(A):
+        return A
+    A = np.asarray(A)
+    n = tree.n_vertices
+    if A.shape != (n, n):
+        raise DimensionMismatch(f"operator of shape {A.shape} on a tree of {n} vertices")
+    return lambda x: A @ x
 
 
-def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray) -> OpSymbol:
-    """Commutant symbol of a dense operator: phi(m) = P_E L^m A restricted to E,
+def _generation_columns(tree):
+    """The columns of the identity, one generation at a time: (generation, (n, width))."""
+    start = 0
+    for g, gen in enumerate(tree.generations):
+        cols = np.zeros((tree.n_vertices, len(gen)))
+        cols[start:start + len(gen)] = np.eye(len(gen))
+        start += len(gen)
+        yield g, cols
+
+
+def generation_raise(tree, A) -> int:
+    """Largest generation increase the operator A can produce, from the sparsity
+    of its images of the unit vectors, one generation of them at a time.
+
+    A is a dense (n, n) matrix or a block map.  An entry counts when its
+    modulus is above 0, so a NaN entry does not.
+    """
+    amap = _as_block_map(tree, A)
+    gens = np.repeat(np.arange(tree.depth + 1), [len(g) for g in tree.generations])
+    raises = []
+    for g, cols in _generation_columns(tree):
+        rows = np.nonzero(np.abs(amap(cols)) > 0)[0]
+        if rows.size:
+            raises.append(int(gens[rows].max()) - g)
+    return max(raises, default=0)
+
+
+def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A) -> OpSymbol:
+    """Commutant symbol of an operator: phi(m) = P_E L^m A restricted to E,
     for m = 0..depth.
 
-    Entries are exact for m up to depth minus the largest kernel generation
-    the matrix can reach; exact_to records the global bound
-    depth - max kernel generation - generation raise of A.
+    A is a dense (n, n) matrix or a block map, applied once to the kernel
+    basis block.  Entries are exact for m up to depth minus the largest
+    kernel generation the operator can reach; exact_to records the global
+    bound depth - max kernel generation - generation raise of A.
     """
-    tree = S.tree
+    amap = _as_block_map(S.tree, A)
+    return _symbol_of_map(S, basis, amap, generation_raise(S.tree, amap))
+
+
+def _symbol_of_map(S: ShiftOperator, basis: SeparatedBasis, amap, r_A: int) -> OpSymbol:
+    """extract_symbol for a block map whose generation raise r_A is known."""
     kernel = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
-    mats = _coeff_array(S, basis, A @ kernel, tree.depth)
-    exact = tree.depth - basis.max_generation - generation_raise(tree, A)
+    mats = _coeff_array(S, basis, amap(kernel), S.tree.depth)
+    exact = S.tree.depth - basis.max_generation - r_A
     return OpSymbol(mats, exact_to=max(-1, exact))
+
+
+def _commutator_norm(S: ShiftOperator, amap) -> float:
+    """Frobenius norm of AS - SA, from the unit vectors one generation at a time."""
+    shift = _shift_power_map(S, 1)
+    sq = 0.0
+    for _, cols in _generation_columns(S.tree):
+        diff = amap(shift(cols)) - shift(amap(cols))
+        sq += float(np.vdot(diff, diff).real)
+    return float(np.sqrt(sq))
+
+
+def _require_trials(trials: int) -> None:
+    """A randomized check runs at least one trial."""
+    if trials < 1:
+        raise PreconditionFailed(f"a randomized check needs at least one trial, got {trials}")
 
 
 @dataclass
@@ -219,30 +331,32 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
-def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A: np.ndarray,
+def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A,
                     trials: int = 20, *, seed: int = 0) -> VerificationReport:
     """Verify that the action of a commuting operator is convolution by its symbol.
 
-    For random f, compares P_E L^n (A f) with the convolution of the extracted
-    symbol against the coefficients of f, for all n up to the tree depth.
-    Rejects operators whose commutator with the shift exceeds COMMUTE_TOL.
+    A is a dense (n, n) matrix or a block map.  For random f, compares
+    P_E L^n (A f) with the convolution of the extracted symbol against the
+    coefficients of f, for all n up to the tree depth.  Rejects operators
+    whose commutator with the shift exceeds COMMUTE_TOL or is not finite.
     `commutator_norm` is the Frobenius norm of AS - SA, an upper bound on the
     spectral norm, so an accepted operator never rests on an underestimate.
     """
+    _require_trials(trials)
     tree = S.tree
-    Smat = shift_matrix(S)
-    comm_norm = float(np.linalg.norm(A @ Smat - Smat @ A))
-    if comm_norm > COMMUTE_TOL:
-        raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e} > {COMMUTE_TOL:g}")
+    amap = _as_block_map(tree, A)
+    comm_norm = _commutator_norm(S, amap)
+    if not comm_norm <= COMMUTE_TOL:
+        raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e}, not within {COMMUTE_TOL:g}")
 
-    r_A = generation_raise(tree, A)
+    r_A = generation_raise(tree, amap)
     f_depth = tree.depth - 1 - r_A
     if f_depth < 0:
         raise PreconditionFailed(
             f"operator raises generations by {r_A}; no room below depth {tree.depth}")
-    phi = extract_symbol(S, basis, A)
+    phi = _symbol_of_map(S, basis, amap, r_A)
     fs = _random_block(tree, f_depth, (stable_rng(seed, f"commutant-{t}") for t in range(trials)))
-    lhs = _coeff_array(S, basis, A @ fs, tree.depth)
+    lhs = _coeff_array(S, basis, amap(fs), tree.depth)
     rhs = _convolve_array(phi, _coeff_array(S, basis, fs, tree.depth))
     worst = worst_of(0.0, *trial_norms(lhs - rhs[:len(lhs)]))
     return VerificationReport(
@@ -372,9 +486,16 @@ def _compressed_norms(S: ShiftOperator, basis: SeparatedBasis,
 
     Depths whose map fits comfortably in memory take the spectral norm of a
     column prefix of one map, built at the deepest of them; the others run
-    randomized power iteration on the implicit map and its adjoint.
+    randomized power iteration on the implicit map and its adjoint.  A depth
+    outside 0..depth or a symbol entry that is not finite raises
+    PreconditionFailed before any map is built.
     """
     tree = S.tree
+    outside = [d for d in depths if not 0 <= d <= tree.depth]
+    if outside:
+        raise PreconditionFailed(f"depths {outside} lie outside 0..{tree.depth}")
+    if not np.all(np.isfinite(phi.coeffs if isinstance(phi, ScalarSymbol) else phi.mats)):
+        raise PreconditionFailed("symbol entries must be finite")
     dense = {d for d in depths if _is_dense(tree, d)}
     if dense:
         n_max = _prefix_size(tree, max(dense))
@@ -418,9 +539,6 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     """
     tree = S.tree
     depths = list(depths)
-    outside = [d for d in depths if not 0 <= d <= tree.depth]
-    if outside:
-        raise PreconditionFailed(f"grid depths {outside} lie outside 0..{tree.depth}")
     norms = _compressed_norms(S, basis, phi, depths, seed)
     drops = _unit_dropped_mass(S, basis, phi, max(depths, default=0))
     dropped_total = sum((float(drops[:_prefix_size(tree, d)].sum()) for d in depths), 0.0)
@@ -441,6 +559,7 @@ def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
     Membership diagnostics of both factors at the working depth are recorded
     alongside the residual; they do not gate the check.
     """
+    _require_trials(trials)
     tree = S.tree
     if diagnostic_depth is None:
         diagnostic_depth = min(tree.depth, 8)
@@ -508,6 +627,7 @@ def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,
     Both paths are applied to random vectors with enough headroom that the
     image stays inside the truncation.
     """
+    _require_trials(trials)
     tree = S.tree
     f_depth = _test_vector_depth(basis, phi.length)
     if f_depth < 0:

@@ -160,6 +160,30 @@ def _shift_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shift_power_map(S: ShiftOperator, k: int):
+    """Block map of the truncated S^k, for k >= 1, on a vector (n,) or a block (n, m).
+
+    (S^k x)(v) = lambda_v lambda_{par v} ... lambda_{par^(k-1) v} x(par^k v): the
+    weight products are taken once, from the vertex up, so each image entry is
+    one product, bit for bit shift_matrix(S) @ x for k = 1 and
+    (shift_matrix(S) @ shift_matrix(S)) @ x for k = 2.  Entries in the last k
+    generations have no image, as in the dense truncation.
+    """
+    par, lam = np.append(0, S._parent_idx), np.append(0.0, S._wvec)
+    start = _prefix_size(S.tree, k - 1)
+    anc = np.arange(start, S.tree.n_vertices)
+    w = np.ones(anc.size)
+    for _ in range(k):
+        w = w * lam[anc]
+        anc = par[anc]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(x)
+        out[start:] = _rowwise(w, x) * x[anc]
+        return out
+    return apply
+
+
 def _adjoint_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
     """S* applied to x, a vector (n,) or a block (n, m) of column vectors."""
     out = np.zeros(x.shape, dtype=np.complex128)

@@ -352,6 +352,44 @@ def test_example_projection_carries_the_left_iterate(monkeypatch):
     assert len(calls) == 13
 
 
+def test_memory_error_becomes_a_typed_record(monkeypatch):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "multiplier-algebra", exhausted)
+    report = run(RunConfig(suites=("multiplier-algebra", "balanced")))
+    first, *rest = report.records
+    assert (first.name, first.law, first.status) == (
+        "multiplier-algebra", "suite execution", "fail")
+    assert first.witness == ("DepthTooLargeForMemory: out of memory: "
+                             "Unable to allocate 1.00 GiB for an array")
+    assert rest and not any(r.status == "fail" for r in rest)
+
+
+def test_tree_battery_is_built_once_per_run(tmp_path, monkeypatch):
+    spec = tmp_path / "random.json"
+    ts.save_tree_spec(ts.tree_to_spec(*ts.generate_random_tree(5, 3, 4)), str(spec))
+    builds = _count_calls(monkeypatch, cli, "_default_trees")
+    loads = _count_calls(monkeypatch, ts.tree, "load_tree_spec")
+    for config in (RunConfig(), RunConfig(tree_path=str(spec))):
+        first = run(config).to_json_lines()
+        assert len(builds) == 1 and len(loads) == bool(config.tree_path)
+        # a second run builds its own battery and reports the same bytes
+        assert run(config).to_json_lines() == first
+        assert len(builds) == 2
+        builds.clear()
+        loads.clear()
+
+
+def test_failed_battery_fails_each_suite_that_needs_it():
+    report = run(RunConfig(example="T4", depth=4,
+                           suites=("core-identities", "harmonics", "balanced")))
+    names = [r.name for r in report.records if r.law == "suite execution"]
+    assert names == ["core-identities", "harmonics"]
+    assert all(r.witness.startswith("DepthTooLargeForMemory: T4 at depth 4")
+               for r in report.records if r.law == "suite execution")
+
+
 def test_library_does_not_import_scipy():
     # scipy is a test dependency only; a report must run without it
     code = ("import sys\n"

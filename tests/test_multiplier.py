@@ -738,3 +738,76 @@ def test_membership_dense_grid_makes_one_coefficient_pass(t2_shift, monkeypatch)
     monkeypatch.setattr(multiplier, "_coeff_array", counted)
     ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), range(1, 13))
     assert calls == [12]
+
+
+@pytest.fixture(scope="module")
+def t2_depth6():
+    tree, weights = ts.generate_example("T2", 6, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    return S, ts.separated_kernel_basis(S)
+
+
+def test_commutant_check_rejects_nonfinite_operators(t2_depth6):
+    # NaN and infinite commutators compare False against the tolerance; the
+    # gate must reject them rather than report NaN residuals
+    S, basis = t2_depth6
+    n = S.tree.n_vertices
+    with np.errstate(invalid="ignore"):
+        for A in (np.full((n, n), np.nan), np.eye(n) * np.inf):
+            with pytest.raises(NotInCommutant):
+                ts.commutant_check(S, basis, A)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_commutant_check_needs_a_trial(t2_depth6, trials):
+    S, basis = t2_depth6
+    with pytest.raises(PreconditionFailed):
+        ts.commutant_check(S, basis, np.eye(S.tree.n_vertices), trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_product_law_check_needs_a_trial(t2_depth6, trials):
+    S, basis = t2_depth6
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5]))
+    with pytest.raises(PreconditionFailed):
+        ts.product_law_check(S, basis, phi, phi, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_scalar_equivalence_check_needs_a_trial(t2_depth6, trials):
+    S, basis = t2_depth6
+    with pytest.raises(PreconditionFailed):
+        ts.scalar_equivalence_check(S, basis, ts.ScalarSymbol(np.array([1.0])), trials=trials)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (15, 14), (15,)])
+def test_dense_operator_of_the_wrong_shape(t2_depth6, shape):
+    S, basis = t2_depth6
+    assert S.tree.n_vertices == 13
+    A = np.ones(shape)
+    with pytest.raises(DimensionMismatch):
+        ts.extract_symbol(S, basis, A)
+    with pytest.raises(DimensionMismatch):
+        ts.commutant_check(S, basis, A)
+
+
+@pytest.mark.parametrize("d", [99, 7, -1])
+def test_compressed_norm_depth_outside_the_tree(t2_depth6, d):
+    S, basis = t2_depth6
+    with pytest.raises(PreconditionFailed, match="outside 0..6"):
+        ts.compressed_multiplication_norm(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), d)
+
+
+def test_scalar_diagonal_rejects_nan():
+    eye2 = np.eye(2)
+    for mats in ([np.nan * eye2], [eye2, np.array([[1.0, np.nan], [0.0, 1.0]])]):
+        assert not ts.OpSymbol(np.stack(mats)).is_scalar_diagonal()
+
+
+def test_product_law_check_rejects_nonfinite_symbols(t2_depth6):
+    S, basis = t2_depth6
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5]))
+    for bad in (ts.ScalarSymbol(np.array([1.0, np.nan])),
+                ts.OpSymbol(np.stack([np.eye(basis.dim), np.full((basis.dim,) * 2, np.inf)]))):
+        with pytest.raises(PreconditionFailed, match="finite"):
+            ts.product_law_check(S, basis, phi, bad, trials=2)
