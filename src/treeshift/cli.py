@@ -83,8 +83,9 @@ class RunConfig:
     tol_power: float = TOL_POWER
     slope_threshold: float = mul.SLOPE_THRESHOLD
     out: str | None = None
-    # The tree battery, built by the first suite that needs it; run() works on
-    # a copy of the config, so no two runs share one.
+    # The tree battery with each tree's shift and basis, built by the first
+    # suite that needs it; run() works on a copy of the config, so no two runs
+    # share one.
     _battery: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -174,17 +175,18 @@ def _default_trees(config: RunConfig):
 
 
 def _trees(config: RunConfig):
-    """_default_trees(config), built once per config; a failed build is retried."""
+    """(label, S, basis) for each tree of _default_trees(config), built once per
+    config; a failed build is retried."""
     if config._battery is None:
-        config._battery = _default_trees(config)
+        shifts = [(label, sh.ShiftOperator(tree, weights))
+                  for label, tree, weights in _default_trees(config)]
+        config._battery = [(label, S, sh.separated_kernel_basis(S)) for label, S in shifts]
     return config._battery
 
 
-def _suite_core_identities(config: RunConfig) -> list[Record]:
-    records = []
-    for label, tree, weights in _trees(config):
-        S = sh.ShiftOperator(tree, weights)
-        basis = sh.separated_kernel_basis(S)
+def _suite_core_identities(config: RunConfig, records: list[Record]) -> None:
+    for label, S, basis in _trees(config):
+        tree = S.tree
         rng = stable_rng(config.seed, f"core-{label}")
         worst_lt = worst_pe = worst_ker = worst_adj = worst_gram = 0.0
         for t in range(20):
@@ -215,14 +217,11 @@ def _suite_core_identities(config: RunConfig) -> list[Record]:
         for name, resid in checks:
             records.append(_record(name, residual=resid, tol=config.tol_power,
                                    exactness_depth=tree.depth, tree=label))
-    return records
 
 
-def _suite_shimorin(config: RunConfig) -> list[Record]:
-    records = []
-    for label, tree, weights in _trees(config):
-        S = sh.ShiftOperator(tree, weights)
-        basis = sh.separated_kernel_basis(S)
+def _suite_shimorin(config: RunConfig, records: list[Record]) -> None:
+    for label, S, basis in _trees(config):
+        tree = S.tree
         rng = stable_rng(config.seed, f"shimorin-{label}")
         fs = sh._random_block(tree, tree.depth, [rng] * 10)
         coords = mod._coeff_array(S, basis, fs, tree.depth)
@@ -243,14 +242,11 @@ def _suite_shimorin(config: RunConfig) -> list[Record]:
         rep = mod.eigenvector_residual(S, basis, lam, 0, rho=est.estimate)
         records.append(_record("adjoint-eigenvector", residual=rep.residual,
                                tol=rep.tail_bound, tree=label, tail_bound=rep.tail_bound))
-    return records
 
 
-def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
-    records = []
-    label, tree, weights = _trees(config)[0]
-    S = sh.ShiftOperator(tree, weights)
-    basis = sh.separated_kernel_basis(S)
+def _suite_multiplier_algebra(config: RunConfig, records: list[Record]) -> None:
+    label, S, basis = _trees(config)[0]
+    tree = S.tree
     rng = stable_rng(config.seed, "mult-algebra")
     worst_unit, worst_assoc, worst_comm = mul._convolution_law_trials(basis.dim, rng, 25)
     records.append(_record("convolution-unit", residual=worst_unit, tol=config.tol_alg,
@@ -259,23 +255,29 @@ def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
                            tree=label))
     records.append(_record("scalar-commutative", residual=worst_comm, tol=config.tol_alg,
                            tree=label))
-    n_max = max(1, tree.depth - basis.max_generation)
     phi = mul.extract_symbol(S, basis, sh._shift_power_map(S, 1))
-    eye = np.eye(basis.dim)
-    resid = float(np.linalg.norm(phi.mats[1] - eye)) if n_max >= 1 else 0.0
-    for m in range(min(phi.length, n_max + 1)):
-        if m != 1:
-            resid = worst_of(resid, float(np.linalg.norm(phi.mats[m])))
+    # phi(m) is exact on kernel column j while gen_index[j] + m + 1 <= depth
+    room = tree.depth - 1 - basis.gen_index
+    resid = 0.0
+    for m in range(int(room.max()) + 1):
+        want = np.eye(basis.dim) if m == 1 else 0.0
+        resid = worst_of(resid, float(np.linalg.norm((phi.mats[m] - want)[:, room >= m])))
     del phi  # the commutant checks below extract a symbol of their own
-    records.append(_record("power-symbol", residual=resid, tol=config.tol_power,
-                           exactness_depth=n_max, tree=label))
+    exact_columns = int(np.count_nonzero(room >= 1))
+    witness = None if exact_columns else (
+        f"PreconditionFailed: no kernel column is exact at m = 1 below depth {tree.depth}")
+    records.append(_record("power-symbol", "fail" if witness else None, residual=resid,
+                           tol=None if witness else config.tol_power,
+                           exactness_depth=int(room.max()), witness=witness,
+                           exact_columns=exact_columns, tree=label))
     rep = mul.commutant_check(S, basis, sh._shift_power_map(S, 2), seed=config.seed)
     records.append(_record("commutant-convolution", residual=rep.max_residual,
                            tol=config.tol_power, exactness_depth=rep.exactness_depth,
                            tree=label))
     try:
         mul.commutant_check(S, basis, _root_projection, seed=config.seed)
-        records.append(_record("noncommutant-rejected", "fail", witness="projection accepted"))
+        records.append(_record("noncommutant-rejected", "fail", witness="projection accepted",
+                               tree=label))
     except mul.NotInCommutant:
         records.append(_record("noncommutant-rejected", "pass", tree=label))
     sphi = mul.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
@@ -287,7 +289,6 @@ def _suite_multiplier_algebra(config: RunConfig) -> list[Record]:
     records.append(_record("scalar-equivalence", residual=rep.max_residual,
                            tol=config.tol_power, exactness_depth=rep.exactness_depth,
                            tree=label))
-    return records
 
 
 def _root_projection(x: np.ndarray) -> np.ndarray:
@@ -297,8 +298,7 @@ def _root_projection(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _suite_example_t2(config: RunConfig) -> list[Record]:
-    records = []
+def _suite_example_t2(config: RunConfig, records: list[Record]) -> None:
     alpha = config.alpha
     depth = max(config.depth, 14)
     tree, weights = _example_tree("T2", depth, alpha)
@@ -340,7 +340,6 @@ def _suite_example_t2(config: RunConfig) -> list[Record]:
     for m in range(mul.WITNESS_STRIDE, depth, mul.WITNESS_STRIDE):
         worst_w = worst_of(worst_w, abs(abs(image[(1, m)]) ** 2 - per_term))
     records.append(_record("example1-witness-sums", residual=worst_w, tol=config.tol_alg))
-    return records
 
 
 def _two_ray_projection(tree, fs, n, alpha):
@@ -364,11 +363,9 @@ def _two_ray_projection(tree, fs, n, alpha):
     return out
 
 
-def _suite_harmonics(config: RunConfig) -> list[Record]:
-    records = []
-    label, tree, weights = _trees(config)[0]
-    S = sh.ShiftOperator(tree, weights)
-    basis = sh.separated_kernel_basis(S)
+def _suite_harmonics(config: RunConfig, records: list[Record]) -> None:
+    label, S, basis = _trees(config)[0]
+    tree = S.tree
     rng = stable_rng(config.seed, "harmonics")
     w = np.exp(1j * 0.7)
     fs = sh._random_block(tree, tree.depth, [rng] * 10)
@@ -407,11 +404,9 @@ def _suite_harmonics(config: RunConfig) -> list[Record]:
     records.append(_record("fejer-domination", "pass" if dominated else "fail",
                            residual=worst_of(*rep.norm_estimates.values()) /
                            max(rep.full_norm_estimate, 1e-30), tree=label))
-    return records
 
 
-def _suite_balanced(config: RunConfig) -> list[Record]:
-    records = []
+def _suite_balanced(config: RunConfig, records: list[Record]) -> None:
     depth = 20
     norms = [1.0 + 1.0 / (m + 1) for m in range(depth)]
     tree, weights = tr.balanced_double_ray(depth, norms)
@@ -459,7 +454,6 @@ def _suite_balanced(config: RunConfig) -> list[Record]:
     records.append(_record("hinf-oracle",
                            "pass" if resid <= 0.04 and rep.verdict == mul.BOUNDED else "fail",
                            residual=resid, verdict=rep.verdict))
-    return records
 
 
 _SUITE_FUNCS = {
@@ -506,14 +500,17 @@ def run(config: RunConfig) -> Report:
     config = replace(config)
 
     def call(name: str) -> list[Record]:
+        """The suite's records; a typed error ends them with a suite execution record."""
+        records = []
         try:
-            return _SUITE_FUNCS[name](config)
+            _SUITE_FUNCS[name](config, records)
+            return records
         except MemoryError as exc:
             error = DepthTooLargeForMemory(f"out of memory: {exc}")
         except TreeShiftError as exc:
             error = exc
-        return [Record(name=name, law="suite execution", status="fail",
-                       witness=f"{type(error).__name__}: {error}")]
+        return records + [Record(name=name, law="suite execution", status="fail",
+                                 witness=f"{type(error).__name__}: {error}")]
 
     if config.tree_path:
         try:

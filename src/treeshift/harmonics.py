@@ -1,7 +1,8 @@
 """Rotations by unimodular scalars, Fejér truncation, and circle integrals.
 
-Rotation acts directly on vertex space as f(u) -> w^|u| f(u); on symbols it
-conjugates by the diagonal of generation phases and twists by w^n.  Circle
+Rotation acts directly on vertex space as f(u) -> w^|u| f(u); the n-th model
+coefficient of the rotated vector picks up w^n and the diagonal of generation
+phases.  Circle
 integrals of symbol rotations against trigonometric monomials are evaluated
 by roots-of-unity quadrature, which is exact once the node count exceeds the
 degree span, with compensated accumulation for determinism.
@@ -59,18 +60,6 @@ def _rotate_array(tree, x: np.ndarray, w: complex) -> np.ndarray:
         lo = tree.index[gen[0]]
         out[lo:lo + len(gen)] *= w ** g
     return out
-
-
-def rotate_symbol(phi: OpSymbol, basis: SeparatedBasis, w: complex) -> OpSymbol:
-    """Twisted conjugation n -> w^n D_w phi(n) D_conj(w)."""
-    diag = rotation_diagonal(basis, w)
-    if phi.dim != basis.dim:
-        raise DimensionMismatch(f"symbol dim {phi.dim} vs kernel dim {basis.dim}")
-    ph = diag.phases
-    mats = np.empty_like(phi.mats)
-    for n in range(phi.length):
-        mats[n] = (w ** n) * (ph[:, None] * phi.mats[n] * np.conj(ph)[None, :])
-    return OpSymbol(mats)
 
 
 @dataclass

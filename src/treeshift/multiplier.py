@@ -17,6 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _util
 from ._util import (
     check_dense_entries,
     dense_spectral_norm,
@@ -38,7 +39,6 @@ from .shift import (
     _random_block,
     _shift_array,
     _shift_power_map,
-    apply_adjoint,
 )
 from .tree import _prefix_size
 
@@ -97,11 +97,6 @@ class OpSymbol:
     @property
     def dim(self) -> int:
         return int(self.mats.shape[1])
-
-    @classmethod
-    def from_scalar(cls, scalar: ScalarSymbol, dim: int) -> "OpSymbol":
-        eye = np.eye(dim, dtype=np.complex128)
-        return cls(np.stack([c * eye for c in scalar.coeffs]))
 
     def is_scalar_diagonal(self) -> bool:
         eye = np.eye(self.dim)
@@ -256,31 +251,42 @@ def _as_block_map(tree, A):
     return lambda x: A @ x
 
 
-def _generation_columns(tree):
-    """The columns of the identity, one generation at a time: (generation, (n, width))."""
-    start = 0
-    for g, gen in enumerate(tree.generations):
-        cols = np.zeros((tree.n_vertices, len(gen)))
-        cols[start:start + len(gen)] = np.eye(len(gen))
-        start += len(gen)
-        yield g, cols
+def _unit_columns(tree):
+    """The columns of the identity in vertex order, in blocks of at most
+    MAX_DENSE_ENTRIES entries: (first column, (n, width))."""
+    n = tree.n_vertices
+    width = max(1, _util.MAX_DENSE_ENTRIES // n)
+    for start in range(0, n, width):
+        cols = np.zeros((n, min(width, n - start)))
+        cols[start:start + cols.shape[1]] = np.eye(cols.shape[1])
+        yield start, cols
+
+
+def _unit_column_walk(tree, amap, shift=None) -> tuple[int, float]:
+    """The generation raise of the block map A and, given the shift as a block
+    map, the Frobenius norm of AS - SA (else 0.0), from one walk over the unit
+    columns that maps each block of them, and its shift, through A once."""
+    gens = np.repeat(np.arange(tree.depth + 1), [len(g) for g in tree.generations])
+    raises, sq = [], 0.0
+    for start, cols in _unit_columns(tree):
+        image = amap(cols)
+        rows, js = np.nonzero(np.abs(image) > 0)
+        if rows.size:
+            raises.append(int((gens[rows] - gens[start + js]).max()))
+        if shift is not None:
+            diff = amap(shift(cols)) - shift(image)
+            sq += float(np.vdot(diff, diff).real)
+    return max(raises, default=0), float(np.sqrt(sq))
 
 
 def generation_raise(tree, A) -> int:
     """Largest generation increase the operator A can produce, from the sparsity
-    of its images of the unit vectors, one generation of them at a time.
+    of its images of the unit vectors, taken in blocks.
 
     A is a dense (n, n) matrix or a block map.  An entry counts when its
     modulus is above 0, so a NaN entry does not.
     """
-    amap = _as_block_map(tree, A)
-    gens = np.repeat(np.arange(tree.depth + 1), [len(g) for g in tree.generations])
-    raises = []
-    for g, cols in _generation_columns(tree):
-        rows = np.nonzero(np.abs(amap(cols)) > 0)[0]
-        if rows.size:
-            raises.append(int(gens[rows].max()) - g)
-    return max(raises, default=0)
+    return _unit_column_walk(tree, _as_block_map(tree, A))[0]
 
 
 def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A) -> OpSymbol:
@@ -297,21 +303,19 @@ def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A) -> OpSymbol:
 
 
 def _symbol_of_map(S: ShiftOperator, basis: SeparatedBasis, amap, r_A: int) -> OpSymbol:
-    """extract_symbol for a block map whose generation raise r_A is known."""
-    kernel = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
-    mats = _coeff_array(S, basis, amap(kernel), S.tree.depth)
-    exact = S.tree.depth - basis.max_generation - r_A
+    """extract_symbol for a block map whose generation raise r_A is known.
+
+    The symbol and the kernel block come to (depth + 1) dim^2 + n dim dense
+    entries; above the memory budget DepthTooLargeForMemory is raised first.
+    """
+    tree, dim = S.tree, basis.dim
+    entries = (tree.depth + 1) * dim * dim + tree.n_vertices * dim
+    check_dense_entries(entries, f"the symbol at kernel dimension {dim} and depth {tree.depth} "
+                                 f"needs {entries:,} dense entries, above the memory budget")
+    kernel = basis._from_coords_array(np.eye(dim, dtype=np.complex128))
+    mats = _coeff_array(S, basis, amap(kernel), tree.depth)
+    exact = tree.depth - basis.max_generation - r_A
     return OpSymbol(mats, exact_to=max(-1, exact))
-
-
-def _commutator_norm(S: ShiftOperator, amap) -> float:
-    """Frobenius norm of AS - SA, from the unit vectors one generation at a time."""
-    shift = _shift_power_map(S, 1)
-    sq = 0.0
-    for _, cols in _generation_columns(S.tree):
-        diff = amap(shift(cols)) - shift(amap(cols))
-        sq += float(np.vdot(diff, diff).real)
-    return float(np.sqrt(sq))
 
 
 def _require_trials(trials: int) -> None:
@@ -345,11 +349,9 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A,
     _require_trials(trials)
     tree = S.tree
     amap = _as_block_map(tree, A)
-    comm_norm = _commutator_norm(S, amap)
+    r_A, comm_norm = _unit_column_walk(tree, amap, _shift_power_map(S, 1))
     if not comm_norm <= COMMUTE_TOL:
         raise NotInCommutant(f"||AS - SA|| = {comm_norm:.3e}, not within {COMMUTE_TOL:g}")
-
-    r_A = generation_raise(tree, amap)
     f_depth = tree.depth - 1 - r_A
     if f_depth < 0:
         raise PreconditionFailed(
@@ -593,18 +595,6 @@ def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np
     for c in phi.coeffs[-2::-1]:
         acc[S._n_internal:] = 0.0
         acc = _shift_array(S, acc) + x * c
-    return acc
-
-
-def scalar_mult_adjoint(S: ShiftOperator, phi: ScalarSymbol, f: L2Vector) -> L2Vector:
-    """Adjoint of the scalar multiplication: mass flows from descendants to ancestors.
-
-    The Horner walk of sum_k conj(phi(k)) (S*)^k f.
-    """
-    coeffs = np.conj(phi.coeffs)
-    acc = f * coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = apply_adjoint(S, acc) + f * c
     return acc
 
 

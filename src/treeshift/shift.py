@@ -165,8 +165,8 @@ def _shift_power_map(S: ShiftOperator, k: int):
 
     (S^k x)(v) = lambda_v lambda_{par v} ... lambda_{par^(k-1) v} x(par^k v): the
     weight products are taken once, from the vertex up, so each image entry is
-    one product, bit for bit shift_matrix(S) @ x for k = 1 and
-    (shift_matrix(S) @ shift_matrix(S)) @ x for k = 2.  Entries in the last k
+    one product, bit for bit M @ x for k = 1 and (M @ M) @ x for k = 2, with M
+    the dense matrix of the truncated shift.  Entries in the last k
     generations have no image, as in the dense truncation.
     """
     par, lam = np.append(0, S._parent_idx), np.append(0.0, S._wvec)
@@ -361,22 +361,3 @@ def is_balanced(S: ShiftOperator) -> tuple[bool, tuple[VertexId, VertexId] | Non
     gen, lo = tree.generations[bad[0]], starts[bad[0]]
     seg = norms[lo:lo + len(gen)]
     return False, (gen[int(np.argmin(seg))], gen[int(np.argmax(seg))])
-
-
-def shift_matrix(S: ShiftOperator) -> np.ndarray:
-    """Dense matrix of the truncated shift (last-generation columns are zero)."""
-    n = S.tree.n_vertices
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[S._child_idx, S._parent_idx] = S._wvec
-    return out
-
-
-def left_inverse_matrix(S: ShiftOperator) -> np.ndarray:
-    """Dense matrix of the left inverse."""
-    if S.lower_bound <= 0:
-        raise NotLeftInvertible("shift has no positive lower bound on the truncation")
-    n = S.tree.n_vertices
-    out = np.zeros((n, n), dtype=np.complex128)
-    out[S._parent_idx, S._child_idx] = S._wvec / S._ns[S._parent_idx]
-    return out
-

@@ -37,13 +37,6 @@ class TreeSpec:
     edges: tuple[tuple[VertexId, VertexId, float], ...]
 
 
-@dataclass(frozen=True)
-class PathSubtree:
-    """A maximal root-to-leaf chain; every vertex has one successor in the list."""
-
-    vertices: tuple[VertexId, ...]
-
-
 class Tree:
     """Immutable rooted tree with ordered children, truncated at `depth` generations.
 
@@ -360,18 +353,3 @@ def lambda_product(tree: Tree, weights: WeightMap, u: VertexId, v: VertexId) -> 
         prod *= weights[w]
         w = tree.parent[w]
     return prod
-
-
-def enumerate_paths(tree: Tree) -> list[PathSubtree]:
-    """All maximal root-to-leaf chains, in depth-first child order."""
-    out: list[PathSubtree] = []
-    stack: list[list[VertexId]] = [[tree.root]]
-    while stack:
-        chain = stack.pop()
-        kids = tree.children[chain[-1]]
-        if not kids:
-            out.append(PathSubtree(tuple(chain)))
-            continue
-        for child in reversed(kids):
-            stack.append(chain + [child])
-    return out

@@ -18,7 +18,7 @@ from treeshift import shift as sh
 from treeshift._util import stable_rng, worst_of
 from treeshift.errors import DepthTooLargeForMemory
 
-from conftest import oracle_shift_matrix
+from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
 
 
 def _acceptance_trees():
@@ -86,7 +86,7 @@ def test_block_map_symbol_and_commutant_match_dense(S, basis):
 def test_generation_raise_of_a_map_equals_its_dense_matrix(S, basis):
     tree = S.tree
     gens = np.array([tree.generation[v] for v in tree.vertices])
-    left = ts.left_inverse_matrix(S)
+    left = oracle_left_inverse_matrix(tree, S.weights)
     cases = [(name, amap, dense) for name, amap, dense in _operators(S)]
     cases += [("L", lambda x: sh._left_inverse_array(S, x), left),
               ("root", cli._root_projection, np.diag(np.eye(tree.n_vertices)[0])),
@@ -157,3 +157,35 @@ def test_one_budget_guards_kernel_matrix_and_the_suite(t2_shift, monkeypatch):
     [rec] = report.records
     assert rec.law == "suite execution"
     assert rec.witness.startswith("DepthTooLargeForMemory: convolution-law trials")
+
+
+@pytest.mark.parametrize("S, basis", TREES)
+def test_chunked_unit_column_walk_matches_one_block(S, basis, monkeypatch):
+    tree = S.tree
+    shift = sh._shift_power_map(S, 1)
+    cases = _operators(S) + [("root", cli._root_projection, None)]
+    whole = [mul._unit_column_walk(tree, amap, shift) for _, amap, _ in cases]
+    # three unit columns a block
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 3 * tree.n_vertices)
+    for (name, amap, _), (r_A, norm) in zip(cases, whole):
+        blocks = []
+
+        def counted(x, amap=amap):
+            blocks.append(x.shape[1])
+            return amap(x)
+
+        got_r, got_norm = mul._unit_column_walk(tree, counted, shift)
+        assert max(blocks) == 3 and sum(blocks) == 2 * tree.n_vertices, name
+        assert got_r == r_A == mul.generation_raise(tree, amap), name
+        assert abs(got_norm - norm) <= 1e-14 * max(1.0, norm), name
+
+
+def test_symbol_refuses_above_the_memory_budget(t2_shift, monkeypatch):
+    S, basis = t2_shift
+    # depth 14 and a 2-dimensional kernel on 29 vertices: 15 * 4 + 29 * 2 entries
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 118)
+    mul.extract_symbol(S, basis, sh._shift_power_map(S, 1))
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 117)
+    for check in (mul.extract_symbol, mul.commutant_check):
+        with pytest.raises(DepthTooLargeForMemory, match="kernel dimension 2 and depth 14"):
+            check(S, basis, sh._shift_power_map(S, 2))

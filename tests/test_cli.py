@@ -148,7 +148,7 @@ def test_cli_error_exit_code(tmp_path):
 def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch, tmp_path):
     ran = []
     monkeypatch.setattr(cli, "_SUITE_FUNCS", {
-        name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
+        name: (lambda config, records, name=name: ran.append(name)) for name in SUITES})
     out = tmp_path / "report.jsonl"
     rc = main(["run", *args, "--out", str(out)])
     assert rc == 2
@@ -169,7 +169,7 @@ def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch, tmp_
 def test_cli_alpha_outside_unit_interval_without_t2(args, suites, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_SUITE_FUNCS", {
-        name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
+        name: (lambda config, records, name=name: ran.append(name)) for name in SUITES})
     assert main(["run", "--alpha", "1.5", *args]) == 0
     assert ran == suites
     assert capsys.readouterr().err == ""
@@ -245,7 +245,7 @@ def test_record_status_from_tolerance():
 def test_cli_rejects_non_integer_env_seed(value, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_SUITE_FUNCS", {
-        name: (lambda config, name=name: ran.append(name) or []) for name in SUITES})
+        name: (lambda config, records, name=name: ran.append(name)) for name in SUITES})
     monkeypatch.setenv("TREESHIFT_SEED", value)
     assert main(["run"]) == 2
     assert ran == []
@@ -353,12 +353,15 @@ def test_example_projection_carries_the_left_iterate(monkeypatch):
 
 
 def test_memory_error_becomes_a_typed_record(monkeypatch):
-    def exhausted(config):
+    def exhausted(config, records):
+        records.append(cli._record("convolution-unit", residual=0.0, tol=config.tol_alg))
         raise MemoryError("Unable to allocate 1.00 GiB for an array")
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "multiplier-algebra", exhausted)
     report = run(RunConfig(suites=("multiplier-algebra", "balanced")))
-    first, *rest = report.records
+    kept, first, *rest = report.records
+    # the record made before the error stays, ahead of the typed one
+    assert (kept.name, kept.status) == ("convolution-unit", "pass")
     assert (first.name, first.law, first.status) == (
         "multiplier-algebra", "suite execution", "fail")
     assert first.witness == ("DepthTooLargeForMemory: out of memory: "
@@ -371,14 +374,44 @@ def test_tree_battery_is_built_once_per_run(tmp_path, monkeypatch):
     ts.save_tree_spec(ts.tree_to_spec(*ts.generate_random_tree(5, 3, 4)), str(spec))
     builds = _count_calls(monkeypatch, cli, "_default_trees")
     loads = _count_calls(monkeypatch, ts.tree, "load_tree_spec")
-    for config in (RunConfig(), RunConfig(tree_path=str(spec))):
+    bases = _count_calls(monkeypatch, shift, "separated_kernel_basis")
+    # one basis per battery tree, plus those of example-t2 and balanced
+    for config, n_bases in ((RunConfig(), 3 + 2), (RunConfig(tree_path=str(spec)), 1 + 2)):
         first = run(config).to_json_lines()
         assert len(builds) == 1 and len(loads) == bool(config.tree_path)
+        assert len(bases) == n_bases
         # a second run builds its own battery and reports the same bytes
         assert run(config).to_json_lines() == first
         assert len(builds) == 2
         builds.clear()
         loads.clear()
+        bases.clear()
+
+
+def test_a_typed_error_keeps_the_records_made_before_it(tmp_path):
+    spec = tmp_path / "random.json"
+    tree, weights = ts.generate_random_tree(4, 3, 0)
+    ts.save_tree_spec(ts.tree_to_spec(tree, weights), str(spec))
+    report = run(RunConfig(tree_path=str(spec), suites=("multiplier-algebra",)))
+    assert [r.name for r in report.records] == [
+        "convolution-unit", "convolution-associative", "scalar-commutative", "power-symbol",
+        "commutant-convolution", "noncommutant-rejected", "product-law", "multiplier-algebra"]
+    assert report.records[-1].witness == "PreconditionFailed: symbol too long for depth 4"
+    # power-symbol judges the kernel columns with room below the last generation
+    power = report.records[3]
+    basis = ts.separated_kernel_basis(ts.ShiftOperator(tree, weights))
+    assert power.status == "pass" and basis.max_generation == tree.depth
+    assert power.extra["exact_columns"] == np.count_nonzero(basis.gen_index <= tree.depth - 2)
+
+
+def test_power_symbol_without_exact_columns_fails_typed(tmp_path):
+    spec = tmp_path / "star.json"
+    ts.save_tree_spec(ts.TreeSpec(depth=1, root="r", edges=(("r", "a", 1.0), ("r", "b", 2.0))),
+                      str(spec))
+    report = run(RunConfig(tree_path=str(spec), suites=("multiplier-algebra",)))
+    [power] = [r for r in report.records if r.name == "power-symbol"]
+    assert (power.status, power.extra["exact_columns"]) == ("fail", 0)
+    assert power.witness.startswith("PreconditionFailed: no kernel column is exact")
 
 
 def test_failed_battery_fails_each_suite_that_needs_it():

@@ -78,25 +78,6 @@ def test_rotation_continuity_slope(t2_shift, t2):
     assert abs(ratios[-1] - ratios[-2]) / ratios[-1] < 1e-3
 
 
-def test_rotate_symbol_scalar_passthrough(t2_shift):
-    S, basis = t2_shift
-    w = np.exp(1.1j)
-    scal = ts.ScalarSymbol(np.array([1.0, 0.5, -0.25]))
-    op = ts.OpSymbol.from_scalar(scal, basis.dim)
-    rotated = ts.rotate_symbol(op, basis, w)
-    for n in range(op.length):
-        want = scal.coeffs[n] * w ** n * np.eye(basis.dim)
-        assert np.linalg.norm(rotated.mats[n] - want) < 1e-14
-
-
-def test_rotate_symbol_unit_w(t2_shift):
-    S, basis = t2_shift
-    rng = stable_rng(3, "rot-sym")
-    op = ts.OpSymbol(rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
-    same = ts.rotate_symbol(op, basis, 1.0)
-    assert np.linalg.norm(same.mats - op.mats) < 1e-15
-
-
 def test_rotation_intertwining_two_paths(t2_shift, t2):
     # rotated-symbol action equals rotate, act, rotate back
     S, basis = t2_shift
@@ -111,7 +92,11 @@ def test_rotation_intertwining_two_paths(t2_shift, t2):
                                                                order=tree.depth - 2))
         return ts.expand_layers(S, basis, conv)
 
-    lhs = act(ts.rotate_symbol(op, basis, w), f)
+    # the rotated symbol w^n D_w op(n) D_conj(w), D_w the generation phases
+    ph = ts.rotation_diagonal(basis, w).phases
+    rotated = ts.OpSymbol(np.stack([w ** n * (ph[:, None] * m * np.conj(ph)[None, :])
+                                    for n, m in enumerate(op.mats)]))
+    lhs = act(rotated, f)
     inner = act(op, ts.rotate_vector(tree, f, np.conj(w)))
     rhs = ts.rotate_vector(tree, inner, w)
     assert (lhs - rhs).norm() < 1e-12
@@ -263,13 +248,3 @@ def test_fejer_domination(t2_shift):
     rep = ts.cesaro_convergence_experiment(S, basis, phi, [2, 4, 16], vecs)
     for order, est in rep.norm_estimates.items():
         assert est <= rep.full_norm_estimate * 1.05, order
-
-
-def test_rotate_symbol_rejects(t2_shift):
-    _, basis = t2_shift
-    op3 = ts.OpSymbol(np.zeros((1, 3, 3)))
-    with pytest.raises(ts.errors.DimensionMismatch):
-        ts.rotate_symbol(op3, basis, 1.0)
-    op2 = ts.unit_symbol(2)
-    with pytest.raises(NotUnimodular):
-        ts.rotate_symbol(op2, basis, 1.5)

@@ -78,7 +78,9 @@ def test_left_inverse_two_ray(t2_shift, t2):
 def test_left_inverse_matches_pseudoinverse(t2, t4_depth2, random_tree_batch):
     for tree, weights in [t2, t4_depth2] + random_tree_batch[:2]:
         S = ts.ShiftOperator(tree, weights)
-        lmat = ts.left_inverse_matrix(S)
+        eye = np.eye(tree.n_vertices, dtype=np.complex128)
+        lmat = np.column_stack([ts.apply_left_inverse(S, ts.L2Vector(tree, e)).data
+                                for e in eye])
         want = oracle_left_inverse_matrix(tree, weights)
         assert np.linalg.norm(lmat - want) < 1e-12
 

@@ -20,7 +20,7 @@ def test_build_chain_spec():
         ("r", "a", 1.0), ("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)))
     tree, weights = ts.build_tree(spec)
     assert tree.n_vertices == 5
-    assert len(ts.enumerate_paths(tree)) == 1
+    assert [v for v in tree.vertices if not tree.children[v]] == ["d"]
     assert weights["d"] == 1.0
 
 
@@ -136,7 +136,9 @@ def test_lambda_product_examples(t2):
 @given(seed=st.integers(0, 200), k=st.integers(0, 8))
 def test_lambda_product_telescopes(seed, k):
     tree, weights = ts.generate_random_tree(8, 3, seed)
-    leaf = ts.enumerate_paths(tree)[0].vertices[-1]
+    leaf = tree.root
+    while tree.children[leaf]:
+        leaf = tree.children[leaf][0]
     k = min(k, tree.generation[leaf])
     anc = leaf
     for _ in range(k):
@@ -164,17 +166,15 @@ def test_generation_indexing(t2):
 
 
 def test_paths_t2_and_t4(t2, t4_depth2):
-    assert len(ts.enumerate_paths(t2[0])) == 2
-    # brute-force leaf count oracle
-    tree = t4_depth2[0]
-    leaves = [v for v in tree.vertices if not tree.children[v]]
-    assert len(leaves) == 64
-    paths = ts.enumerate_paths(tree)
-    assert len(paths) == 64
-    for p in paths:
-        assert p.vertices[0] == tree.root
-        for a, b in zip(p.vertices, p.vertices[1:]):
-            assert tree.parent[b] == a
+    # one root-to-leaf chain per leaf, traced up through the parents
+    for tree, n_leaves in ((t2[0], 2), (t4_depth2[0], 64)):
+        leaves = [v for v in tree.vertices if not tree.children[v]]
+        assert len(leaves) == n_leaves
+        for leaf in leaves:
+            chain = [leaf]
+            while chain[-1] != tree.root:
+                chain.append(tree.parent[chain[-1]])
+            assert len(chain) == tree.generation[leaf] + 1
 
 
 def test_spec_json_round_trip(tmp_path, t2):

@@ -17,6 +17,8 @@ from treeshift import multiplier as mul
 from treeshift import shift as sh
 from treeshift._util import stable_rng, worst_of
 
+from conftest import oracle_shift_matrix
+
 
 def _shift_and_basis(tree, weights):
     S = ts.ShiftOperator(tree, weights)
@@ -38,7 +40,7 @@ def wide_random():
 
 
 def _polynomials(S):
-    smat = ts.shift_matrix(S)
+    smat = oracle_shift_matrix(S.tree, S.weights)
     eye = np.eye(S.tree.n_vertices, dtype=np.complex128)
     return [smat @ smat, smat @ smat @ smat, eye + 0.5 * smat]
 
@@ -211,7 +213,7 @@ def test_commutant_check_block_matches_per_vector_loop(t2_shift, small_random, w
         # A f for all trials is one matrix-matrix product, f alone a
         # matrix-vector product; where a row of A sums two products the two
         # BLAS kernels may round apart, so S + S^2 agrees to rounding only
-        smat = ts.shift_matrix(S)
+        smat = oracle_shift_matrix(S.tree, S.weights)
         A = smat + smat @ smat
         rep = ts.commutant_check(S, basis, A, trials=20)
         assert abs(rep.max_residual - _commutant_loop(S, basis, A, 20, 0)) <= 1e-14
@@ -260,7 +262,8 @@ def test_convolve_block_matches_per_sequence_at_dimension_37():
 @pytest.mark.parametrize("seed", [0, 5])
 def test_example1_projection_block_matches_per_vector_loop(seed):
     config = cli.RunConfig(seed=seed)
-    records = cli._suite_example_t2(config)
+    records = []
+    cli._suite_example_t2(config, records)
     assert _record(records, "example1-projection").residual == _example1_projection_loop(config)
 
 
@@ -272,7 +275,8 @@ def _rotation_case(tmp_path, tree_args, **config):
     config = cli.RunConfig(**config)
     _, tree, weights = cli._default_trees(config)[0]
     S, basis = _shift_and_basis(tree, weights)
-    records = cli._suite_harmonics(config)
+    records = []
+    cli._suite_harmonics(config, records)
     got = (_record(records, "rotation-norm").residual,
            _record(records, "rotation-coefficients").residual)
     return got, _rotation_loop(S, basis, config.seed)
@@ -292,7 +296,8 @@ def test_rotation_block_matches_per_vector_loop(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_wold_parseval_block_matches_per_vector_loop(seed):
-    records = cli._suite_balanced(cli.RunConfig(seed=seed))
+    records = []
+    cli._suite_balanced(cli.RunConfig(seed=seed), records)
     assert _record(records, "wold-parseval").residual == _wold_parseval_loop(seed)
 
 
@@ -345,7 +350,7 @@ def test_block_checks_make_one_coefficient_pass_per_block(t2_shift, monkeypatch)
         return inner(S, basis, x, order)
 
     monkeypatch.setattr(mul, "_coeff_array", counted)
-    smat = ts.shift_matrix(S)
+    smat = oracle_shift_matrix(S.tree, S.weights)
     ts.commutant_check(S, basis, smat @ smat, trials=20)
     # extract_symbol's kernel block, then A f and f for all 20 trials at once
     assert [shape[1:] for shape in calls] == [(basis.dim,), (20,), (20,)]
