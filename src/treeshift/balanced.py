@@ -188,8 +188,7 @@ def weighted_toeplitz_norm(a: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
 
 def hinf_membership(a: ScalarSymbol | np.ndarray, beta1: BetaWeights, beta2: BetaWeights,
                     trunc: int, *, truncs: list[int] | None = None,
-                    xs: list[float] | None = None,
-                    slope_threshold: float = SLOPE_THRESHOLD) -> MembershipReport:
+                    xs: list[float] | None = None) -> MembershipReport:
     """Growth diagnostic for the convolution map between weighted l2 spaces.
 
     Norm of b -> a*b from the beta1-space to the beta2-space at doubling
@@ -218,10 +217,10 @@ def hinf_membership(a: ScalarSymbol | np.ndarray, beta1: BetaWeights, beta2: Bet
         xs = [float(np.log2(t)) for t in truncs]
     norms = [weighted_toeplitz_norm(coeffs, beta1.beta, beta2.beta, t) for t in truncs]
     slope = fit_log_slope(xs, norms)
-    verdict = DIVERGENT if slope > slope_threshold else BOUNDED
+    verdict = DIVERGENT if slope > SLOPE_THRESHOLD else BOUNDED
     return MembershipReport(
         depths=[int(round(x)) for x in xs], norms=norms, slope=slope,
-        verdict=verdict, threshold=slope_threshold, low_confidence=len(truncs) < 4)
+        verdict=verdict, threshold=SLOPE_THRESHOLD, low_confidence=len(truncs) < 4)
 
 
 @dataclass
@@ -285,7 +284,6 @@ class KomReport:
 
 def kom_characterization_check(S: ShiftOperator, basis: SeparatedBasis,
                                phi: ScalarSymbol | OpSymbol, trunc: int, *,
-                               slope_threshold: float = SLOPE_THRESHOLD,
                                seed: int = 0) -> KomReport:
     """Compare the multiplication-map growth verdict with entrywise convolution growth.
 
@@ -302,16 +300,14 @@ def kom_characterization_check(S: ShiftOperator, basis: SeparatedBasis,
             f"truncation {trunc} exceeds computable orbit length {tree.depth + 1}")
     beta = beta_from_orbit(S, L2Vector.basis(tree, tree.root), trunc)
     depths_a = list(range(1, min(tree.depth, trunc - 1) + 1))
-    side_a = membership_diagnostic(S, basis, phi, depths_a,
-                                   slope_threshold=slope_threshold, seed=seed)
+    side_a = membership_diagnostic(S, basis, phi, depths_a, seed=seed)
     # side B probes the same scale: truncation d+1 against x-coordinate d
     truncs_b = [d + 1 for d in depths_a]
     xs_b = [float(d) for d in depths_a]
     entries: dict[tuple[int, int], MembershipReport] = {}
     if isinstance(phi, ScalarSymbol) or (isinstance(phi, OpSymbol) and phi.is_scalar_diagonal()):
         seq = phi if isinstance(phi, ScalarSymbol) else phi.scalar_part()
-        entries[(0, 0)] = hinf_membership(seq, beta, beta, trunc, truncs=truncs_b,
-                                          xs=xs_b, slope_threshold=slope_threshold)
+        entries[(0, 0)] = hinf_membership(seq, beta, beta, trunc, truncs=truncs_b, xs=xs_b)
     else:
         if basis.dim > 128:
             raise PreconditionFailed(
@@ -322,8 +318,7 @@ def kom_characterization_check(S: ShiftOperator, basis: SeparatedBasis,
                 if not np.any(seq_ij):
                     continue
                 entries[(i, j)] = hinf_membership(
-                    ScalarSymbol(seq_ij), beta, beta, trunc, truncs=truncs_b,
-                    xs=xs_b, slope_threshold=slope_threshold)
+                    ScalarSymbol(seq_ij), beta, beta, trunc, truncs=truncs_b, xs=xs_b)
     any_divergent = any(rep.verdict == DIVERGENT for rep in entries.values())
     agree = (side_a.verdict == DIVERGENT) == any_divergent
     low_conf = side_a.low_confidence or any(r.low_confidence for r in entries.values())

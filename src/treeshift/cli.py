@@ -79,9 +79,6 @@ class RunConfig:
     depth: int = 12
     suites: tuple[str, ...] = SUITES
     seed: int = 0
-    tol_alg: float = TOL_ALG
-    tol_power: float = TOL_POWER
-    slope_threshold: float = mul.SLOPE_THRESHOLD
     out: str | None = None
     # The tree battery with each tree's shift and basis, built by the first
     # suite that needs it; run() works on a copy of the config, so no two runs
@@ -154,6 +151,7 @@ def _example_tree(name: str, depth: int, alpha: float):
     """Named example tree with the command line's parameters: T2 takes
     [alpha], UNILATERAL unit weights, and T4 nothing."""
     key = name.upper()
+    tr._check_example_size(key, depth)
     params = [alpha] if key == "T2" else [1.0] * depth if key == "UNILATERAL" else []
     return tr.generate_example(name, depth, params)
 
@@ -215,7 +213,7 @@ def _suite_core_identities(config: RunConfig, records: list[Record]) -> None:
             ("gram-diagonal", worst_gram),
         ]
         for name, resid in checks:
-            records.append(_record(name, residual=resid, tol=config.tol_power,
+            records.append(_record(name, residual=resid, tol=TOL_POWER,
                                    exactness_depth=tree.depth, tree=label))
 
 
@@ -227,7 +225,7 @@ def _suite_shimorin(config: RunConfig, records: list[Record]) -> None:
         coords = mod._coeff_array(S, basis, fs, tree.depth)
         back = mod._reconstruct_array(S, basis, coords, tree.depth)
         worst_rt = worst_of(0.0, *trial_norms(back - fs))
-        records.append(_record("model-round-trip", residual=worst_rt, tol=config.tol_power,
+        records.append(_record("model-round-trip", residual=worst_rt, tol=TOL_POWER,
                                exactness_depth=tree.depth, tree=label))
         est = mod.spectral_radius_estimate(S)
         records.append(_record("spectral-radius-record", "diagnostic",
@@ -236,7 +234,7 @@ def _suite_shimorin(config: RunConfig, records: list[Record]) -> None:
         ker0 = mod.kernel_matrix(S, basis, 0.0, 0.0, order=max(0, tree.depth - 2),
                                  rho=est.estimate)
         resid = float(np.linalg.norm(ker0.matrix - np.eye(basis.dim)))
-        records.append(_record("kernel-at-origin", residual=resid, tol=config.tol_alg,
+        records.append(_record("kernel-at-origin", residual=resid, tol=TOL_ALG,
                                tree=label))
         lam = 0.25 / max(est.estimate, 1e-9)
         rep = mod.eigenvector_residual(S, basis, lam, 0, rho=est.estimate)
@@ -249,11 +247,11 @@ def _suite_multiplier_algebra(config: RunConfig, records: list[Record]) -> None:
     tree = S.tree
     rng = stable_rng(config.seed, "mult-algebra")
     worst_unit, worst_assoc, worst_comm = mul._convolution_law_trials(basis.dim, rng, 25)
-    records.append(_record("convolution-unit", residual=worst_unit, tol=config.tol_alg,
+    records.append(_record("convolution-unit", residual=worst_unit, tol=TOL_ALG,
                            tree=label))
     records.append(_record("convolution-associative", residual=worst_assoc, tol=1e-10,
                            tree=label))
-    records.append(_record("scalar-commutative", residual=worst_comm, tol=config.tol_alg,
+    records.append(_record("scalar-commutative", residual=worst_comm, tol=TOL_ALG,
                            tree=label))
     phi = mul.extract_symbol(S, basis, sh._shift_power_map(S, 1))
     # phi(m) is exact on kernel column j while gen_index[j] + m + 1 <= depth
@@ -267,12 +265,12 @@ def _suite_multiplier_algebra(config: RunConfig, records: list[Record]) -> None:
     witness = None if exact_columns else (
         f"PreconditionFailed: no kernel column is exact at m = 1 below depth {tree.depth}")
     records.append(_record("power-symbol", "fail" if witness else None, residual=resid,
-                           tol=None if witness else config.tol_power,
+                           tol=None if witness else TOL_POWER,
                            exactness_depth=int(room.max()), witness=witness,
                            exact_columns=exact_columns, tree=label))
     rep = mul.commutant_check(S, basis, sh._shift_power_map(S, 2), seed=config.seed)
     records.append(_record("commutant-convolution", residual=rep.max_residual,
-                           tol=config.tol_power, exactness_depth=rep.exactness_depth,
+                           tol=TOL_POWER, exactness_depth=rep.exactness_depth,
                            tree=label))
     try:
         mul.commutant_check(S, basis, _root_projection, seed=config.seed)
@@ -283,11 +281,11 @@ def _suite_multiplier_algebra(config: RunConfig, records: list[Record]) -> None:
     sphi = mul.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
     spsi = mul.ScalarSymbol(np.array([0.5, -0.25]))
     rep = mul.product_law_check(S, basis, sphi, spsi, trials=10, seed=config.seed)
-    records.append(_record("product-law", residual=rep.max_residual, tol=config.tol_power,
+    records.append(_record("product-law", residual=rep.max_residual, tol=TOL_POWER,
                            tree=label))
     rep = mul.scalar_equivalence_check(S, basis, sphi, trials=10, seed=config.seed)
     records.append(_record("scalar-equivalence", residual=rep.max_residual,
-                           tol=config.tol_power, exactness_depth=rep.exactness_depth,
+                           tol=TOL_POWER, exactness_depth=rep.exactness_depth,
                            tree=label))
 
 
@@ -309,7 +307,7 @@ def _suite_example_t2(config: RunConfig, records: list[Record]) -> None:
     got = basis.vector(1)
     resid = min((got - expected).norm(), (got + expected).norm())
     resid = worst_of(resid, (basis.vector(0) - sh.L2Vector.basis(tree, (0, 0))).norm())
-    records.append(_record("example1-kernel-basis", residual=resid, tol=config.tol_alg))
+    records.append(_record("example1-kernel-basis", residual=resid, tol=TOL_ALG))
     fs = sh._random_block(tree, depth, [stable_rng(config.seed, "example-t2")] * 50)
     lf = fs
     worst = 0.0
@@ -317,19 +315,15 @@ def _suite_example_t2(config: RunConfig, records: list[Record]) -> None:
         lf = sh._left_inverse_array(S, lf)
         pe = basis._from_coords_array(basis._coords_array(lf))
         worst = worst_of(worst, *trial_norms(pe - _two_ray_projection(tree, fs, n, alpha)))
-    records.append(_record("example1-projection", residual=worst, tol=config.tol_alg * 100))
+    records.append(_record("example1-projection", residual=worst, tol=TOL_ALG * 100))
     div = mul.two_ray_symbol(basis, alpha, [np.array([[1.0, 0.0], [0.0, 0.0]])])
     grid = list(range(1, depth - 1))
-    rep = mul.membership_diagnostic(S, basis, div, grid,
-                                    slope_threshold=config.slope_threshold,
-                                    seed=config.seed)
+    rep = mul.membership_diagnostic(S, basis, div, grid, seed=config.seed)
     records.append(_record("example1-divergence",
                            "pass" if rep.verdict == mul.DIVERGENT else "fail",
                            residual=rep.slope, norms=[round(x, 9) for x in rep.norms]))
     adm = mul.two_ray_admissible_symbol(basis, alpha, 1.0, 0.5, 0.25, -0.5)
-    rep2 = mul.membership_diagnostic(S, basis, adm, grid,
-                                     slope_threshold=config.slope_threshold,
-                                     seed=config.seed)
+    rep2 = mul.membership_diagnostic(S, basis, adm, grid, seed=config.seed)
     records.append(_record("example1-admissible",
                            "pass" if rep2.verdict == mul.BOUNDED else "fail",
                            residual=rep2.slope))
@@ -339,7 +333,7 @@ def _suite_example_t2(config: RunConfig, records: list[Record]) -> None:
     worst_w = 0.0
     for m in range(mul.WITNESS_STRIDE, depth, mul.WITNESS_STRIDE):
         worst_w = worst_of(worst_w, abs(abs(image[(1, m)]) ** 2 - per_term))
-    records.append(_record("example1-witness-sums", residual=worst_w, tol=config.tol_alg))
+    records.append(_record("example1-witness-sums", residual=worst_w, tol=TOL_ALG))
 
 
 def _two_ray_projection(tree, fs, n, alpha):
@@ -381,12 +375,12 @@ def _suite_harmonics(config: RunConfig, records: list[Record]) -> None:
         worst_coef = worst_of(worst_coef, *(float(np.linalg.norm(d)) for d in diff))
     records.append(_record("rotation-norm", residual=worst_norm, tol=1e-13 * 10, tree=label))
     records.append(_record("rotation-coefficients", residual=worst_coef,
-                           tol=config.tol_alg * 10, tree=label))
+                           tol=TOL_ALG * 10, tree=label))
     phi = mul.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
     resid = worst_of(
         har.circle_integral_check(S, basis, phi, 1, seed=config.seed),
         har.circle_integral_check(S, basis, phi, -2, seed=config.seed))
-    records.append(_record("circle-integral", residual=resid, tol=config.tol_power,
+    records.append(_record("circle-integral", residual=resid, tol=TOL_POWER,
                            tree=label))
     geom = mul.ScalarSymbol(0.5 ** np.arange(min(8, tree.depth)))
     f_depth = max(0, mul._test_vector_depth(basis, geom.length))
@@ -425,22 +419,20 @@ def _suite_balanced(config: RunConfig, records: list[Record]) -> None:
         u_prime = tree.generations[k + n][0]
         worst_pair = worst_of(worst_pair, bal.balanced_inner_product_check(S, f, g, n, u_prime))
     records.append(_record("balanced-pairing", residual=worst_pair,
-                           tol=config.tol_power * 100))
+                           tol=TOL_POWER * 100))
     fs = sh._random_block(tree, depth, [rng] * 10)
     parts, miss = bal._wold_layers(S, basis, fs)
     sums = [sum(x ** 2 for x in layers) for layers in bal._layer_norms(S, parts)]
     worst_wold = worst_of(0.0, *trial_norms(miss),
                           *(abs(s - nf ** 2) for s, nf in zip(sums, trial_norms(fs))))
     records.append(_record("wold-parseval", residual=worst_wold,
-                           tol=config.tol_power * 100))
+                           tol=TOL_POWER * 100))
     ratio = bal.ratio_bounds_check(S, basis)
     records.append(_record("ratio-bounds", "pass" if ratio.ok else "fail",
                            residual=ratio.max_ratio_excess,
                            extra_pairs=ratio.pairs_checked))
     sym = mul.indicator_symbol(2, basis.dim, np.array([[0.3, -0.2], [0.1, 0.7]]))
-    kom = bal.kom_characterization_check(S, basis, sym, depth + 1,
-                                         slope_threshold=config.slope_threshold,
-                                         seed=config.seed)
+    kom = bal.kom_characterization_check(S, basis, sym, depth + 1, seed=config.seed)
     entry_rows = [{"entry": list(key), "depths": r.depths, "norms": r.norms,
                    "slope": r.slope, "verdict": r.verdict}
                   for key, r in sorted(kom.entry_side.items())]
@@ -482,12 +474,8 @@ def run(config: RunConfig) -> Report:
     if config.example and config.example.upper() not in tr.EXAMPLES:
         raise ConfigError(f"unknown example {config.example!r}; "
                           f"choose one of {', '.join(tr.EXAMPLES)}")
-    for name in ("alpha", "tol_alg", "tol_power", "slope_threshold"):
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
-    if min(config.tol_alg, config.tol_power) < 0:
-        raise ConfigError("tolerances must be at least 0")
+    if not math.isfinite(config.alpha):
+        raise ConfigError(f"alpha must be finite, got {config.alpha!r}")
     builds_t2 = "example-t2" in requested or (
         not config.tree_path and (config.example or "T2").upper() == "T2"
         and any(s in requested for s in _DEFAULT_TREE_SUITES))
@@ -522,8 +510,8 @@ def run(config: RunConfig) -> Report:
     records = [rec for name in ordered for rec in call(name)]
     cfg = {
         "alpha": config.alpha, "depth": config.depth, "example": config.example,
-        "seed": config.seed, "slope_threshold": config.slope_threshold,
-        "suites": ordered, "tol_alg": config.tol_alg, "tol_power": config.tol_power,
+        "seed": config.seed, "slope_threshold": mul.SLOPE_THRESHOLD,
+        "suites": ordered, "tol_alg": TOL_ALG, "tol_power": TOL_POWER,
         "tree": config.tree_path,
     }
     report = Report(config=cfg, records=records)
@@ -550,9 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="suite name (repeatable); default: all")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out", default=None, help="report path (JSON lines)")
-    runp.add_argument("--tol-alg", type=float, default=TOL_ALG)
-    runp.add_argument("--tol-power", type=float, default=TOL_POWER)
-    runp.add_argument("--slope-threshold", type=float, default=mul.SLOPE_THRESHOLD)
 
     genp = sub.add_parser("generate", help="emit an example tree spec as JSON")
     genp.add_argument("--example", required=True)
@@ -582,9 +567,7 @@ def main(argv: list[str] | None = None) -> int:
             suites = tuple(args.suite) if args.suite else ("all",)
             config = RunConfig(
                 tree_path=args.tree, example=args.example, alpha=args.alpha,
-                depth=args.depth, suites=suites, seed=seed, tol_alg=args.tol_alg,
-                tol_power=args.tol_power, slope_threshold=args.slope_threshold,
-                out=args.out)
+                depth=args.depth, suites=suites, seed=seed, out=args.out)
             report = run(config)
             if not args.out:
                 sys.stdout.write(report.to_json_lines())

@@ -55,10 +55,6 @@ class NotUnimodular(TreeShiftError):
     """Rotation parameter does not lie on the unit circle."""
 
 
-class QuadratureTooCoarse(TreeShiftError):
-    """Too few quadrature nodes for exact integration of the given degree."""
-
-
 class NotBalanced(TreeShiftError):
     """Shift norms vary within a generation, so balanced-only machinery does not apply."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import kahan_mean_vectors, stable_rng, worst_of
-from .errors import BadParams, DimensionMismatch, NotUnimodular, QuadratureTooCoarse
+from .errors import BadParams, DimensionMismatch, NotUnimodular
 from .model import _reconstruct_array, analytic_coeffs, reconstruct
 from .multiplier import (
     OpSymbol,
@@ -154,23 +154,16 @@ def cesaro_convergence_experiment(S: ShiftOperator, basis: SeparatedBasis,
 
 def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
                           phi: ScalarSymbol | OpSymbol, k: int, *,
-                          quadrature_points: int | None = None,
                           seed: int = 0) -> float:
     """Residual of the quadrature identity averaging rotated multiplications.
 
     (1/Q) sum_q conj(w_q)^k M_(phi_{w_q}) f recovers M_(p phi) f for the
-    monomial p(w) = w^k, exactly once Q exceeds the degree span.  Returns the
-    maximum residual over CIRCLE_TEST_VECTORS seeded test vectors; k < 0 must
-    recover zero.
+    monomial p(w) = w^k, exactly once Q exceeds the degree span; the check
+    takes Q = length + |k| + 1 nodes.  Returns the maximum residual over
+    CIRCLE_TEST_VECTORS seeded test vectors; k < 0 must recover zero.
     """
     scal = _as_scalar(phi)
-    required = scal.length + abs(k) + 1
-    if quadrature_points is None:
-        quadrature_points = required
-    if quadrature_points < required:
-        raise QuadratureTooCoarse(
-            f"need at least {required} nodes for length {scal.length} and power {k}")
-    Q = quadrature_points
+    Q = scal.length + abs(k) + 1
     tree = S.tree
     f_depth = max(0, _test_vector_depth(basis, scal.length))
 

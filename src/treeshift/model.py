@@ -31,6 +31,7 @@ from .shift import (
 from .tree import _prefix_size
 
 RECONSTRUCT_TOL = 1e-8
+SPECTRAL_RADIUS_POWERS = 8
 
 
 @dataclass
@@ -219,7 +220,7 @@ class KernelEval:
     tail_bound: float
 
 
-def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "SpectralRadiusEstimate":
+def spectral_radius_estimate(S: ShiftOperator) -> "SpectralRadiusEstimate":
     """Estimate of the spectral radius of L from ||L^k||^(1/k) on the truncation.
 
     L^k sends e_v to a multiple of e_{par^k v}, so L^k L^k* is diagonal and
@@ -230,7 +231,7 @@ def spectral_radius_estimate(S: ShiftOperator, iterations: int = 8) -> "Spectral
     root-norms; it is not a certified bound on the spectral radius.
     """
     tree = S.tree
-    steps = max(1, min(iterations, tree.depth))
+    steps = max(1, min(SPECTRAL_RADIUS_POWERS, tree.depth))
     diag = L2Vector(tree, np.ones(tree.n_vertices, dtype=np.complex128))
     ratio = _left_inverse_adjoint_array(S, diag.data)
     norms: list[float] = []

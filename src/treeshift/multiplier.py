@@ -299,23 +299,31 @@ def extract_symbol(S: ShiftOperator, basis: SeparatedBasis, A) -> OpSymbol:
     bound depth - max kernel generation - generation raise of A.
     """
     amap = _as_block_map(S.tree, A)
+    _check_symbol_budget(S.tree, basis.dim)
     return _symbol_of_map(S, basis, amap, generation_raise(S.tree, amap))
 
 
-def _symbol_of_map(S: ShiftOperator, basis: SeparatedBasis, amap, r_A: int) -> OpSymbol:
-    """extract_symbol for a block map whose generation raise r_A is known.
-
-    The symbol and the kernel block come to (depth + 1) dim^2 + n dim dense
-    entries; above the memory budget DepthTooLargeForMemory is raised first.
-    """
-    tree, dim = S.tree, basis.dim
+def _check_symbol_budget(tree, dim: int) -> None:
+    """DepthTooLargeForMemory when the symbol and the kernel block pass the memory budget."""
     entries = (tree.depth + 1) * dim * dim + tree.n_vertices * dim
     check_dense_entries(entries, f"the symbol at kernel dimension {dim} and depth {tree.depth} "
                                  f"needs {entries:,} dense entries, above the memory budget")
+
+
+def _symbol_of_map(S: ShiftOperator, basis: SeparatedBasis, amap, r_A: int) -> OpSymbol:
+    """extract_symbol for a block map whose generation raise r_A is known."""
+    tree, dim = S.tree, basis.dim
     kernel = basis._from_coords_array(np.eye(dim, dtype=np.complex128))
     mats = _coeff_array(S, basis, amap(kernel), tree.depth)
     exact = tree.depth - basis.max_generation - r_A
     return OpSymbol(mats, exact_to=max(-1, exact))
+
+
+def _require_finite(*symbols: ScalarSymbol | OpSymbol) -> None:
+    """Every entry of the symbols is finite."""
+    for phi in symbols:
+        if not np.all(np.isfinite(phi.coeffs if isinstance(phi, ScalarSymbol) else phi.mats)):
+            raise PreconditionFailed("symbol entries must be finite")
 
 
 def _require_trials(trials: int) -> None:
@@ -356,6 +364,7 @@ def commutant_check(S: ShiftOperator, basis: SeparatedBasis, A,
     if f_depth < 0:
         raise PreconditionFailed(
             f"operator raises generations by {r_A}; no room below depth {tree.depth}")
+    _check_symbol_budget(S.tree, basis.dim)
     phi = _symbol_of_map(S, basis, amap, r_A)
     fs = _random_block(tree, f_depth, (stable_rng(seed, f"commutant-{t}") for t in range(trials)))
     lhs = _coeff_array(S, basis, amap(fs), tree.depth)
@@ -496,8 +505,7 @@ def _compressed_norms(S: ShiftOperator, basis: SeparatedBasis,
     outside = [d for d in depths if not 0 <= d <= tree.depth]
     if outside:
         raise PreconditionFailed(f"depths {outside} lie outside 0..{tree.depth}")
-    if not np.all(np.isfinite(phi.coeffs if isinstance(phi, ScalarSymbol) else phi.mats)):
-        raise PreconditionFailed("symbol entries must be finite")
+    _require_finite(phi)
     dense = {d for d in depths if _is_dense(tree, d)}
     if dense:
         n_max = _prefix_size(tree, max(dense))
@@ -554,21 +562,14 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
 
 def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
                       phi: ScalarSymbol | OpSymbol, psi: ScalarSymbol | OpSymbol,
-                      trials: int = 20, *, seed: int = 0,
-                      diagnostic_depth: int | None = None) -> VerificationReport:
+                      trials: int = 20, *, seed: int = 0) -> VerificationReport:
     """Associativity of convolution against coefficients: phi*(psi*c) = (phi*psi)*c.
 
-    Membership diagnostics of both factors at the working depth are recorded
-    alongside the residual; they do not gate the check.
+    A symbol entry that is not finite raises PreconditionFailed.
     """
     _require_trials(trials)
+    _require_finite(phi, psi)
     tree = S.tree
-    if diagnostic_depth is None:
-        diagnostic_depth = min(tree.depth, 8)
-    verdicts = {}
-    for label, sym in (("phi", phi), ("psi", psi)):
-        rep = membership_diagnostic(S, basis, sym, range(1, diagnostic_depth + 1), seed=seed)
-        verdicts[label] = rep.verdict
     fs = _random_block(tree, tree.depth,
                        (stable_rng(seed, f"product-law-{t}") for t in range(trials)))
     c = _coeff_array(S, basis, fs, tree.depth)
@@ -577,7 +578,7 @@ def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
     worst = worst_of(0.0, *trial_norms(one - two))
     return VerificationReport(
         name="product-law", max_residual=worst, trials=trials,
-        exactness_depth=tree.depth, details=verdicts)
+        exactness_depth=tree.depth)
 
 
 def scalar_mult_apply(S: ShiftOperator, phi: ScalarSymbol, f: L2Vector) -> L2Vector:

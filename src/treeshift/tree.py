@@ -209,6 +209,18 @@ def tree_to_spec(tree: Tree, weights: WeightMap) -> TreeSpec:
 EXAMPLES = ("T2", "T4", "UNILATERAL")
 
 
+def _check_example_size(key: str, depth: int) -> None:
+    """Refuse the example named key (upper case) above MAX_VERTICES vertices before it
+    is built.  T4's generation m holds 2^(m(m+1)), so m is counted to the cap's bit length."""
+    last = min(depth, MAX_VERTICES.bit_length())
+    count = {"T2": 2 * depth + 1, "UNILATERAL": depth + 1,
+             "T4": sum(2 ** (m * (m + 1)) for m in range(last + 1))}.get(key, 0)
+    if count > MAX_VERTICES:
+        held = f"at least {count}" if key == "T4" and last < depth else count
+        raise DepthTooLargeForMemory(
+            f"{key} at depth {depth} holds {held} vertices (cap {MAX_VERTICES})")
+
+
 def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tuple[Tree, WeightMap]:
     """Build one of the named example trees.
 
@@ -219,6 +231,7 @@ def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tup
     UNILATERAL: a single path; params is the weight list (length = depth).
     """
     key = name.upper()
+    _check_example_size(key, depth)
     if key == "T2":
         if depth < 1:
             raise BadParams("T2 needs depth >= 1")
@@ -238,10 +251,6 @@ def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tup
     if key == "T4":
         if params:
             raise BadParams("T4 takes no parameters")
-        count = sum(2 ** (m * (m + 1)) for m in range(depth + 1))
-        if count > MAX_VERTICES:
-            raise DepthTooLargeForMemory(
-                f"T4 at depth {depth} holds {count} vertices (cap {MAX_VERTICES})")
         children = {}
         weights = {}
         for m in range(depth + 1):

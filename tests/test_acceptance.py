@@ -219,8 +219,7 @@ def test_criterion_4_algebra_laws(battery):
                               - ts.convolve(sb, sa).coeffs) <= TOL_POWER
         phi = ts.ScalarSymbol(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         psi = ts.ScalarSymbol(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        rep = ts.product_law_check(S, basis, phi, psi, trials=2, seed=400 + t,
-                                   diagnostic_depth=4)
+        rep = ts.product_law_check(S, basis, phi, psi, trials=2, seed=400 + t)
         assert rep.max_residual <= TOL_POWER
 
 

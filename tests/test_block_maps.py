@@ -16,7 +16,7 @@ from treeshift import _util, cli
 from treeshift import multiplier as mul
 from treeshift import shift as sh
 from treeshift._util import stable_rng, worst_of
-from treeshift.errors import DepthTooLargeForMemory
+from treeshift.errors import DepthTooLargeForMemory, NotInCommutant
 
 from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
 
@@ -186,6 +186,15 @@ def test_symbol_refuses_above_the_memory_budget(t2_shift, monkeypatch):
     monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 118)
     mul.extract_symbol(S, basis, sh._shift_power_map(S, 1))
     monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 117)
-    for check in (mul.extract_symbol, mul.commutant_check):
+    walks = []
+    monkeypatch.setattr(mul, "_unit_column_walk",
+                        lambda *args, walk=mul._unit_column_walk: walks.append(1) or walk(*args))
+    # extract_symbol refuses before it walks the unit columns; commutant_check
+    # walks first, so that an operator off the commutant is named as such
+    for check, n_walks in ((mul.extract_symbol, 0), (mul.commutant_check, 1)):
+        walks.clear()
         with pytest.raises(DepthTooLargeForMemory, match="kernel dimension 2 and depth 14"):
             check(S, basis, sh._shift_power_map(S, 2))
+        assert len(walks) == n_walks
+    with pytest.raises(NotInCommutant):
+        mul.commutant_check(S, basis, cli._root_projection)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ from hypothesis import given, strategies as st
 
 import treeshift as ts
 from treeshift import cli, shift
+from treeshift import tree as tr
 from treeshift.cli import CHECK_REFS, Record, RunConfig, SUITES, main, run
-from treeshift.errors import ConfigError
+from treeshift.errors import ConfigError, DepthTooLargeForMemory
 
 
 def read_jsonl(path):
@@ -80,6 +82,21 @@ def test_parallel_flag_is_retired(capsys):
     assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--tol-alg", "--tol-power", "--slope-threshold"])
+def test_gate_flags_are_retired(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", flag, "1e-3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
+
+
+def test_summary_states_the_fixed_gates():
+    line = run(RunConfig(suites=("core-identities",))).to_json_lines().splitlines()[-1]
+    for gate in ('"slope_threshold":0.02', '"tol_alg":1e-12', '"tol_power":1e-10'):
+        assert gate in line
+    assert len([f for f in fields(RunConfig) if f.init]) == 7
+
+
 def test_every_record_name_registered():
     config = RunConfig(suites=("all",), seed=0)
     report = run(config)
@@ -135,10 +152,10 @@ def test_cli_error_exit_code(tmp_path):
 @pytest.mark.parametrize("args", [
     ["--example", "T9"],
     ["--alpha", "nan"],
-    ["--tol-power", "nan"],
-    ["--tol-alg", "inf"],
-    ["--slope-threshold", "inf"],
-    ["--tol-alg=-1e-12"],
+    ["--alpha", "inf"],
+    ["--alpha=-inf"],
+    ["--depth", "1"],
+    ["--suite", "no-such-suite"],
     # alpha outside (0, 1) wherever a requested suite builds T2
     ["--alpha", "1.5"],
     ["--alpha", "0", "--suite", "core-identities"],
@@ -284,17 +301,6 @@ def test_cli_inspect_from_file(tmp_path, capsys):
     assert payload["vertices"] == 9
 
 
-def test_tolerance_override_fails_run(tmp_path):
-    out = tmp_path / "strict.jsonl"
-    config = RunConfig(suites=("core-identities",), seed=5, out=str(out),
-                       tol_power=0.0)
-    report = run(config)
-    assert report.failed
-    rows = read_jsonl(out)
-    fails = [r for r in rows[:-1] if r["status"] == "fail"]
-    assert fails and all("witness" in r for r in fails)
-
-
 def _annihilation_specs():
     """Trees whose sibling sets run from 1 to 40 wide, as tree specs."""
     yield "t2", ts.tree_to_spec(*ts.generate_example("T2", 12, [0.5]))
@@ -354,7 +360,7 @@ def test_example_projection_carries_the_left_iterate(monkeypatch):
 
 def test_memory_error_becomes_a_typed_record(monkeypatch):
     def exhausted(config, records):
-        records.append(cli._record("convolution-unit", residual=0.0, tol=config.tol_alg))
+        records.append(cli._record("convolution-unit", residual=0.0, tol=cli.TOL_ALG))
         raise MemoryError("Unable to allocate 1.00 GiB for an array")
 
     monkeypatch.setitem(cli._SUITE_FUNCS, "multiplier-algebra", exhausted)
@@ -412,6 +418,25 @@ def test_power_symbol_without_exact_columns_fails_typed(tmp_path):
     [power] = [r for r in report.records if r.name == "power-symbol"]
     assert (power.status, power.extra["exact_columns"]) == ("fail", 0)
     assert power.witness.startswith("PreconditionFailed: no kernel column is exact")
+
+
+@pytest.mark.parametrize("example", tr.EXAMPLES)
+def test_oversized_example_is_refused_before_it_is_built(example, monkeypatch):
+    monkeypatch.setattr(tr, "MAX_VERTICES", 10)
+    builds, made = [], []
+    init = tr.Tree.__init__
+    monkeypatch.setattr(tr.Tree, "__init__", lambda self, root, children, depth:
+                        builds.append(depth) or init(self, root, children, depth))
+    generate = tr.generate_example
+    monkeypatch.setattr(tr, "generate_example", lambda name, depth, params=():
+                        made.append(depth) or generate(name, depth, params))
+    params = {"T2": [0.5], "T4": [], "UNILATERAL": [1.0] * 50}[example]
+    with pytest.raises(DepthTooLargeForMemory, match=f"{example} at depth 50 holds"):
+        generate(example, 50, params)
+    [rec] = run(RunConfig(example=example, depth=50, suites=("core-identities",))).records
+    assert rec.witness.startswith(f"DepthTooLargeForMemory: {example} at depth 50 holds")
+    # neither the tree nor, through the CLI, the example's parameters were built
+    assert 50 not in builds and 50 not in made
 
 
 def test_failed_battery_fails_each_suite_that_needs_it():
