@@ -1,7 +1,9 @@
 """Time a change against a parent commit in alternating perfbench pairs.
 
 The parent is PARENT_REV of this repository, extracted with `git archive` into
-a temporary directory; the change is the working tree.  For each workload,
+a temporary directory.  The change is the working tree: its tracked and
+untracked files, ignored ones left out, copied into a second temporary
+directory, so that both sides run from a fresh copy.  For each workload,
 pair s runs `python3 perfbench/run.py --workload W --seed s --trace 0` once
 from each root: the parent first at even s, the change first at odd s.  Each
 run's last JSON line goes into OUT, one run a line, in the layout of the
@@ -18,6 +20,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,6 +35,20 @@ def extract(rev: str, dest: Path) -> Path:
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def copy_worktree(root: Path, dest: Path) -> Path:
+    """The working tree of root, as `git ls-files --cached --others
+    --exclude-standard` lists it, copied into dest; files deleted from the
+    working tree are skipped."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, check=True,
+                            capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
     return dest
 
 
@@ -102,8 +119,9 @@ def main(argv: list[str] | None = None, runner=None) -> int:
     if runner is None:
         parent = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 check=True, capture_output=True, text=True).stdout.strip()
-        with tempfile.TemporaryDirectory() as tmp:
-            roots = {"parent": extract(args.parent, Path(tmp)), "change": ROOT}
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as tmp2:
+            roots = {"parent": extract(args.parent, Path(tmp)),
+                     "change": copy_worktree(ROOT, Path(tmp2))}
             runs = run_pairs(args.workload, args.pairs, lambda side, w, seed: perfbench_result(
                 roots[side], w, seed))
     else:

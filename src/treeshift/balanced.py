@@ -23,6 +23,7 @@ from .multiplier import (
     OpSymbol,
     ScalarSymbol,
     SLOPE_THRESHOLD,
+    _require_finite,
     membership_diagnostic,
 )
 from .shift import (
@@ -38,14 +39,14 @@ from .tree import VertexId
 
 @dataclass
 class BetaWeights:
-    """Positive sequence of squared iterate norms defining a weighted l2 space."""
+    """Finite positive sequence of squared iterate norms defining a weighted l2 space."""
 
     beta: np.ndarray
 
     def __post_init__(self) -> None:
         self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.beta.ndim != 1 or np.any(self.beta <= 0):
-            raise DimensionMismatch("beta must be a positive 1-d sequence")
+        if self.beta.ndim != 1 or not np.all(np.isfinite(self.beta) & (self.beta > 0)):
+            raise DimensionMismatch("beta must be a finite positive 1-d sequence")
 
     @property
     def length(self) -> int:
@@ -186,7 +187,7 @@ def weighted_toeplitz_norm(a: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
     return dense_spectral_norm(mat)
 
 
-def hinf_membership(a: ScalarSymbol | np.ndarray, beta1: BetaWeights, beta2: BetaWeights,
+def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
                     trunc: int, *, truncs: list[int] | None = None,
                     xs: list[float] | None = None) -> MembershipReport:
     """Growth diagnostic for the convolution map between weighted l2 spaces.
@@ -195,11 +196,12 @@ def hinf_membership(a: ScalarSymbol | np.ndarray, beta1: BetaWeights, beta2: Bet
     truncations up to trunc; the slope defaults to a fit against log2 of the
     truncation (one unit per doubling, matching the per-depth calibration).
     Explicit truncation lists and x-coordinates support aligned comparisons.
+    A symbol entry that is not finite raises PreconditionFailed.
     """
     if min([trunc, *(truncs or [])]) < 1:
         raise PreconditionFailed(
             f"truncations must be at least 1, got trunc={trunc}, truncs={truncs}")
-    coeffs = a.coeffs if isinstance(a, ScalarSymbol) else np.asarray(a, dtype=np.complex128)
+    _require_finite(a)
     if truncs is None:
         # compressions below 16 coefficients barely see the symbol and their
         # startup ramp would pollute the slope; the threshold is calibrated
@@ -215,7 +217,7 @@ def hinf_membership(a: ScalarSymbol | np.ndarray, beta1: BetaWeights, beta2: Bet
             f"beta sequences shorter than truncation {max(truncs)}")
     if xs is None:
         xs = [float(np.log2(t)) for t in truncs]
-    norms = [weighted_toeplitz_norm(coeffs, beta1.beta, beta2.beta, t) for t in truncs]
+    norms = [weighted_toeplitz_norm(a.coeffs, beta1.beta, beta2.beta, t) for t in truncs]
     slope = fit_log_slope(xs, norms)
     verdict = DIVERGENT if slope > SLOPE_THRESHOLD else BOUNDED
     return MembershipReport(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -536,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--depth", type=int, default=12)
     runp.add_argument("--suite", action="append", default=None,
                       help="suite name (repeatable); default: all")
-    runp.add_argument("--seed", type=int, default=None)
+    runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--out", default=None, help="report path (JSON lines)")
 
     genp = sub.add_parser("generate", help="emit an example tree spec as JSON")
@@ -557,17 +556,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            seed = args.seed
-            if seed is None:
-                raw = os.environ.get("TREESHIFT_SEED", "0")
-                try:
-                    seed = int(raw)
-                except ValueError:
-                    raise ConfigError(f"TREESHIFT_SEED must be an integer, got {raw!r}") from None
             suites = tuple(args.suite) if args.suite else ("all",)
             config = RunConfig(
                 tree_path=args.tree, example=args.example, alpha=args.alpha,
-                depth=args.depth, suites=suites, seed=seed, out=args.out)
+                depth=args.depth, suites=suites, seed=args.seed, out=args.out)
             report = run(config)
             if not args.out:
                 sys.stdout.write(report.to_json_lines())

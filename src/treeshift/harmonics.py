@@ -39,9 +39,14 @@ class RotationDiagonal:
     phases: np.ndarray
 
 
-def rotation_diagonal(basis: SeparatedBasis, w: complex) -> RotationDiagonal:
-    if abs(abs(w) - 1.0) > UNIMODULAR_TOL:
+def _require_unimodular(w: complex) -> None:
+    """|w| is 1 within UNIMODULAR_TOL; a NaN or infinite w fails the comparison."""
+    if not abs(abs(w) - 1.0) <= UNIMODULAR_TOL:
         raise NotUnimodular(f"|w| = {abs(w)!r}")
+
+
+def rotation_diagonal(basis: SeparatedBasis, w: complex) -> RotationDiagonal:
+    _require_unimodular(w)
     phases = np.array([w ** int(k) for k in basis.gen_index], dtype=np.complex128)
     return RotationDiagonal(w=w, phases=phases)
 
@@ -53,8 +58,7 @@ def rotate_vector(tree, f: L2Vector, w: complex) -> L2Vector:
 
 def _rotate_array(tree, x: np.ndarray, w: complex) -> np.ndarray:
     """rotate_vector for a vector x (n,) or a block x (n, m) of column vectors."""
-    if abs(abs(w) - 1.0) > UNIMODULAR_TOL:
-        raise NotUnimodular(f"|w| = {abs(w)!r}")
+    _require_unimodular(w)
     out = x.copy()
     for g, gen in enumerate(tree.generations):
         lo = tree.index[gen[0]]

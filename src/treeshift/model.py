@@ -49,21 +49,6 @@ class CoeffSeq:
     def length(self) -> int:
         return self.coords.shape[0]
 
-    def to_json(self) -> str:
-        import json
-
-        coords = [[[float(x.real), float(x.imag)] for x in row] for row in self.coords]
-        return json.dumps({"exact_to": self.exact_to, "coords": coords})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoeffSeq":
-        import json
-
-        raw = json.loads(text)
-        coords = np.array([[complex(re, im) for re, im in row]
-                           for row in raw["coords"]], dtype=np.complex128)
-        return cls(coords=coords, exact_to=int(raw["exact_to"]))
-
 
 def analytic_coeffs(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector,
                     order: int | None = None) -> CoeffSeq:
@@ -78,9 +63,10 @@ def analytic_coeffs(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector,
 
 
 def _coeff_array(S: ShiftOperator, basis: SeparatedBasis, x: np.ndarray,
-                 order: int) -> np.ndarray:
-    """P_E L^n x for n = 0..order, for a vector x (n,) or a block x (n, m).
+                 order: int, step=_left_inverse_array) -> np.ndarray:
+    """P_E step^n x for n = 0..order, for a vector x (n,) or a block x (n, m).
 
+    step is L by default; the adjoint of the compressed symbol map passes S*.
     Returns shape (order + 1, dim) or (order + 1, dim, m): entry [n, j] holds
     coordinate j of the n-th coefficient, with the block's columns last.
     """
@@ -88,7 +74,7 @@ def _coeff_array(S: ShiftOperator, basis: SeparatedBasis, x: np.ndarray,
     for n in range(order + 1):
         coords[n] = basis._coords_array(x)
         if n < order:
-            x = _left_inverse_array(S, x)
+            x = step(S, x)
     return coords
 
 
@@ -103,12 +89,14 @@ def expand_layers(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq) -> L2Vec
     return L2Vector(S.tree, _layer_array(S, basis, c.coords))
 
 
-def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray) -> np.ndarray:
-    """sum_n S^n c(n) for coefficients laid out as _coeff_array returns them."""
+def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray,
+                 step=_shift_array) -> np.ndarray:
+    """sum_n step^n c(n), with step S or, for the adjoint symbol map, L*, for
+    coefficients laid out as _coeff_array returns them."""
     acc = np.zeros((S.tree.n_vertices,) + coords.shape[2:], dtype=np.complex128)
     for n in range(coords.shape[0] - 1, -1, -1):
         if n < coords.shape[0] - 1:
-            acc = _shift_array(S, acc)
+            acc = step(S, acc)
         acc = acc + basis._from_coords_array(coords[n])
     return acc
 
@@ -262,11 +250,11 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
     matrix = sum_{m,n <= order} z^m conj(lam)^n P_E L^m (L*)^n restricted to E,
     assembled as Wz* Wl from one Horner walk of Wz = sum_m conj(z)^m (L*)^m B
     and Wl on the kernel basis block [B | B], so memory does not grow with the
-    order.  Requires |z| and |lam| inside the disc of radius 1/rho, for rho an
-    estimate of the spectral radius of L.
+    order.  Requires finite z and lam inside the disc of radius 1/rho, for rho
+    an estimate of the spectral radius of L.
     """
-    zmax = max(abs(z), abs(lam))
-    if rho * zmax >= 1.0:
+    zmax = max(abs(z), abs(lam)) if np.isfinite([z, lam]).all() else np.inf
+    if not rho * zmax < 1.0:
         raise OutsideDisc(f"|point| * rho = {rho * zmax:.4f} >= 1")
     order = min(order, S.tree.depth - basis.max_generation)
     check_dense_entries(S.tree.n_vertices * basis.dim,
@@ -301,9 +289,9 @@ def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
     sequence, reconstructed to vertex space, and tested against
     S* v = lam v there (the model inner product is the pullback).  The stated
     tail bound is |lam|^(order+1) ||(L*)^order e'_j|| / ||v|| plus solver slack.
-    Requires |lam| inside the disc of radius 1/rho.
+    Requires a finite lam inside the disc of radius 1/rho.
     """
-    if rho * abs(lam) >= 1.0:
+    if not rho * abs(lam) < 1.0:
         raise OutsideDisc(f"|lam| * rho = {rho * abs(lam):.4f} >= 1")
     k_e = int(basis.gen_index[e_index])
     if order is None:

@@ -11,7 +11,6 @@ compressed operator norms across support depths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -37,7 +36,6 @@ from .shift import (
     _adjoint_array,
     _left_inverse_adjoint_array,
     _random_block,
-    _shift_array,
     _shift_power_map,
 )
 from .tree import _prefix_size
@@ -67,15 +65,6 @@ class ScalarSymbol:
     @property
     def length(self) -> int:
         return int(self.coeffs.shape[0])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"coeffs": [[float(c.real), float(c.imag)] for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScalarSymbol":
-        raw = json.loads(text)
-        return cls(np.array([complex(re, im) for re, im in raw["coeffs"]]))
 
 
 @dataclass
@@ -110,20 +99,6 @@ class OpSymbol:
         if not self.is_scalar_diagonal():
             raise DimensionMismatch("symbol is not scalar-diagonal")
         return ScalarSymbol(self.mats[:, 0, 0].copy())
-
-    def to_json(self) -> str:
-        mats = [[[ [float(x.real), float(x.imag)] for x in row] for row in m]
-                for m in self.mats]
-        return json.dumps({"dim": self.dim, "mats": mats})
-
-    @classmethod
-    def from_json(cls, text: str) -> "OpSymbol":
-        raw = json.loads(text)
-        mats = np.array([[[complex(re, im) for re, im in row] for row in m]
-                         for m in raw["mats"]])
-        if mats.shape[1] != raw["dim"]:
-            raise DimensionMismatch("dim field disagrees with matrix shape")
-        return cls(mats)
 
 
 def unit_symbol(dim: int) -> OpSymbol:
@@ -428,14 +403,9 @@ def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
 def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
                               phi: ScalarSymbol | OpSymbol, d: int,
                               z: np.ndarray) -> np.ndarray:
-    """Adjoint of _apply_symbol_map, back to coefficients over V_{<=d}."""
-    tree = S.tree
-    length = phi.length + d
-    v = z.astype(np.complex128)
-    ys = np.zeros((length, basis.dim), dtype=np.complex128)
-    for m in range(length):
-        ys[m] = basis._coords_array(v)
-        v = _adjoint_array(S, v)
+    """Adjoint of _apply_symbol_map, back to coefficients over V_{<=d}: the model's
+    coefficient pass with S*, the drop, the correlation with phi, its Horner walk with L*."""
+    ys = _coeff_array(S, basis, z, phi.length + d - 1, _adjoint_array)
     _drop_beyond_depth(ys, basis)
     cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
     for k in range(phi.length):
@@ -443,10 +413,7 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
             cprime += np.conj(phi.coeffs[k]) * ys[k:k + d + 1]
         else:
             cprime += ys[k:k + d + 1] @ phi.mats[k].conj()
-    out = basis._from_coords_array(cprime[d])
-    for n in range(d - 1, -1, -1):
-        out = _left_inverse_adjoint_array(S, out) + basis._from_coords_array(cprime[n])
-    return out[:_prefix_size(tree, d)]
+    return _layer_array(S, basis, cprime, _left_inverse_adjoint_array)[:_prefix_size(S.tree, d)]
 
 
 def _is_dense(tree, d: int) -> bool:
@@ -592,10 +559,10 @@ def scalar_mult_apply(S: ShiftOperator, phi: ScalarSymbol, f: L2Vector) -> L2Vec
 
 def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np.ndarray:
     """scalar_mult_apply for a vector x (n,) or a block x (n, m) of column vectors."""
+    shift = _shift_power_map(S, 1)
     acc = x * phi.coeffs[-1]
     for c in phi.coeffs[-2::-1]:
-        acc[S._n_internal:] = 0.0
-        acc = _shift_array(S, acc) + x * c
+        acc = shift(acc) + x * c
     return acc
 
 

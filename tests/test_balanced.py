@@ -7,7 +7,13 @@ import pytest
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import NotBalanced, PreconditionFailed, SupportOverflow, WrongGeneration
+from treeshift.errors import (
+    DimensionMismatch,
+    NotBalanced,
+    PreconditionFailed,
+    SupportOverflow,
+    WrongGeneration,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +156,20 @@ def test_hinf_truncation_below_one_is_rejected(trunc, truncs):
         warnings.simplefilter("error")
         with pytest.raises(PreconditionFailed):
             ts.hinf_membership(ts.ScalarSymbol(np.array([1.0])), beta, beta, trunc, truncs=truncs)
+
+
+def test_beta_weights_must_be_finite():
+    # with beta1 = inf every norm read 0.0 and the verdict BoundedSoFar
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DimensionMismatch):
+            ts.BetaWeights(np.array([1.0, bad]))
+
+
+def test_hinf_rejects_symbol_entries_that_are_not_finite():
+    beta = ts.BetaWeights(np.ones(16))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionFailed):
+            ts.hinf_membership(ts.ScalarSymbol(np.array([bad, 1.0])), beta, beta, 16)
 
 
 def test_hinf_geometric_converges_to_two():

@@ -33,6 +33,16 @@ def test_rotate_rejects_offcircle(t2):
         ts.rotate_vector(tree, ts.L2Vector.basis(tree, (0, 0)), 0.9)
 
 
+def test_rotation_rejects_points_that_are_not_finite(t2_shift, t2):
+    tree, _ = t2
+    _, basis = t2_shift
+    for w in (np.nan, complex(np.nan, 1.0), np.inf):
+        with pytest.raises(NotUnimodular):
+            ts.rotation_diagonal(basis, w)
+        with pytest.raises(NotUnimodular):
+            ts.rotate_vector(tree, ts.L2Vector.basis(tree, (0, 0)), w)
+
+
 @given(theta=angles, theta2=angles)
 def test_rotation_norm_and_group_law(theta, theta2):
     tree, weights = ts.generate_example("T2", 6, [0.5])

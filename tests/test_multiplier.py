@@ -384,16 +384,6 @@ def test_scalar_equivalence_is_shift(t2_shift, t2):
     assert (via_model - ts.apply_shift(S, f)).norm() < 1e-11
 
 
-def test_symbol_json_round_trip():
-    rng = stable_rng(13, "json")
-    op = ts.OpSymbol(rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
-    back = ts.OpSymbol.from_json(op.to_json())
-    assert np.linalg.norm(back.mats - op.mats) < 1e-15
-    sc = ts.ScalarSymbol(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    back_sc = ts.ScalarSymbol.from_json(sc.to_json())
-    assert np.linalg.norm(back_sc.coeffs - sc.coeffs) < 1e-15
-
-
 def test_membership_depth_precondition(t2_shift):
     S, basis = t2_shift
     with pytest.raises(PreconditionFailed):
@@ -433,12 +423,6 @@ def test_scalar_basis_action_every_vertex(t2_shift, t2):
             lam = ts.lambda_product(tree, weights, u, v)
             assert 0 <= gap < phi.length
             assert abs(val - lam * phi.coeffs[gap]) < 1e-13
-
-
-def test_opsymbol_json_dim_mismatch():
-    bad = '{"dim": 3, "mats": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}'
-    with pytest.raises(DimensionMismatch):
-        ts.OpSymbol.from_json(bad)
 
 
 def test_mixed_scalar_op_convolution(t2_shift):

@@ -76,3 +76,30 @@ def test_bench_pairs_alternates_sides_and_writes_the_bench_layout(tmp_path, caps
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"{w} report_s: parent 2 [1, 3]; change 1.5 [0.5, 2.5]; "
                      f"change lower in 3 of 3 pairs" for w in ("suite-all", "wide-t4")]
+
+
+def test_bench_pairs_copies_the_working_tree_without_ignored_files(tmp_path):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "gone.py").write_text("y = 1\n")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=repo, check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "base"], cwd=repo, check=True)
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")
+    (repo / "pkg" / "new.py").write_text("z = 1\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+
+    assert bench_pairs.copy_worktree(repo, dest) == dest
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "x = 2\n"
