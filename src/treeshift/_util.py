@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DepthTooLargeForMemory
+from .errors import DepthTooLargeForMemory, PreconditionFailed
 
 # The one memory budget: the most complex entries that one dense evaluation
 # may hold at once (32 MB).  Larger evaluations raise DepthTooLargeForMemory
@@ -42,6 +42,17 @@ def check_dense_entries(entries: int, message: str) -> None:
     """Raise DepthTooLargeForMemory(message) when entries exceed MAX_DENSE_ENTRIES."""
     if entries > MAX_DENSE_ENTRIES:
         raise DepthTooLargeForMemory(message)
+
+
+def require_nonnegative(name: str, value: int) -> None:
+    """Raise PreconditionFailed when an order, length or index is negative."""
+    if value < 0:
+        raise PreconditionFailed(f"{name} must be nonnegative, got {value}")
+
+
+def block_width(height: int) -> int:
+    """Columns a block of this height may hold within MAX_DENSE_ENTRIES (at least 1)."""
+    return max(1, MAX_DENSE_ENTRIES // height)
 
 
 def worst_of(*values: float) -> float:

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import dense_spectral_norm, fit_log_slope, trial_norms, worst_of
+from ._util import (
+    block_width,
+    dense_spectral_norm,
+    fit_log_slope,
+    require_nonnegative,
+    trial_norms,
+    worst_of,
+)
 from .errors import DimensionMismatch, NotBalanced, PreconditionFailed, WrongGeneration
 from .model import _coeff_array, _layer_array
 from .multiplier import (
@@ -31,6 +38,7 @@ from .shift import (
     SeparatedBasis,
     ShiftOperator,
     _shift_array,
+    _shift_power_map,
     apply_shift,
     is_balanced,
 )
@@ -60,6 +68,7 @@ def beta_from_orbit(S: ShiftOperator, e: L2Vector, length: int | None = None) ->
     max_len = depth - max(0, start) + 1
     if length is None:
         length = max_len
+    require_nonnegative("length", length)
     if length > max_len:
         raise PreconditionFailed(f"orbit leaves the truncation after {max_len} terms")
     out = np.empty(length)
@@ -198,6 +207,8 @@ def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
     Explicit truncation lists and x-coordinates support aligned comparisons.
     A symbol entry that is not finite raises PreconditionFailed.
     """
+    if truncs is not None and not truncs:
+        raise PreconditionFailed("the truncation grid is empty, so there is no norm to judge")
     if min([trunc, *(truncs or [])]) < 1:
         raise PreconditionFailed(
             f"truncations must be at least 1, got trunc={trunc}, truncs={truncs}")
@@ -242,16 +253,19 @@ def ratio_bounds_check(S: ShiftOperator, basis: SeparatedBasis) -> RatioBoundsRe
         raise PreconditionFailed("shift is not bounded below")
     tree = S.tree
     base = S.norm_upper / S.lower_bound
-    norms: list[list[float]] = []
     gens = basis.gen_index
-    for j in range(basis.dim):
-        cur = basis.vector(j)
-        steps = tree.depth - int(gens[j])
-        seq = [cur.norm()]
-        for _ in range(steps):
-            cur = apply_shift(S, cur)
-            seq.append(cur.norm())
-        norms.append(seq)
+    # norms[j][n] = ||S^n e'_j|| for n <= depth - gens[j]; gens is sorted, so the
+    # columns still read at step n form a prefix of each chunk
+    shift = _shift_power_map(S, 1)
+    norms = np.full((basis.dim, tree.depth + 1), np.nan)
+    width = block_width(tree.n_vertices)
+    for start in range(0, basis.dim, width):
+        block = basis._vectors(start, min(basis.dim, start + width))
+        for n in range(tree.depth + 1):
+            if n:
+                block = shift(block[:, gens[start:start + block.shape[1]] <= tree.depth - n])
+            norms[start:start + block.shape[1], n] = trial_norms(block)
+    norms = norms.tolist()
     worst = 0.0
     pairs = 0
     classes: dict[int, list[int]] = {}

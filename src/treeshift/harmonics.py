@@ -14,17 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import kahan_mean_vectors, stable_rng, worst_of
+from ._util import check_dense_entries, kahan_mean_vectors, stable_rng, trial_norms, worst_of
 from .errors import BadParams, DimensionMismatch, NotUnimodular
-from .model import _reconstruct_array, analytic_coeffs, reconstruct
+from .model import _coeff_array, _reconstruct_array
 from .multiplier import (
     OpSymbol,
     ScalarSymbol,
+    _convolve_array,
     _test_vector_depth,
     compressed_multiplication_norm,
-    convolve_with_coeffs,
 )
-from .shift import L2Vector, SeparatedBasis, ShiftOperator
+from .shift import L2Vector, SeparatedBasis, ShiftOperator, _column_block, _random_block
+from .tree import _prefix_size
 
 UNIMODULAR_TOL = 1e-12
 # Seeded test vectors per circle_integral_check.
@@ -131,27 +132,26 @@ def cesaro_convergence_experiment(S: ShiftOperator, basis: SeparatedBasis,
     scal = _as_scalar(phi)
     tree = S.tree
     f_depth = max(0, _test_vector_depth(basis, scal.length))
+    fs = _column_block(tree, [f.data for f in test_vectors])
+    deep = np.flatnonzero(np.any(fs[_prefix_size(tree, f_depth):], axis=0))
+    if deep.size:
+        raise DimensionMismatch(f"test vector {deep[0]} exceeds workable support depth {f_depth}")
+    coeffs = _coeff_array(S, basis, fs, f_depth)
 
-    def apply_symbol(sym: ScalarSymbol, f: L2Vector) -> L2Vector:
-        conv = convolve_with_coeffs(sym, analytic_coeffs(S, basis, f, order=f_depth))
-        return reconstruct(S, basis, conv, tree.depth)
+    def apply_symbol(sym: ScalarSymbol) -> np.ndarray:
+        return _reconstruct_array(S, basis, _convolve_array(sym, coeffs), tree.depth)
 
     rows: list[ConvergenceRow] = []
     norm_estimates: dict[int, float] = {}
     work_depth = max(1, min(f_depth, max(4, tree.depth // 2)))
     full_norm, _ = compressed_multiplication_norm(S, basis, scal, work_depth, seed=seed)
-    targets = [apply_symbol(scal, f) for f in test_vectors]
+    targets = apply_symbol(scal)
     for order in orders:
         sym_n = fejer_truncate(fejer_symbol(order), scal)
         norm_estimates[order], _ = compressed_multiplication_norm(
             S, basis, sym_n, work_depth, seed=seed)
-        for vid, f in enumerate(test_vectors):
-            if f.support_depth() > f_depth:
-                raise DimensionMismatch(
-                    f"test vector {vid} exceeds workable support depth {f_depth}")
-            approx = apply_symbol(sym_n, f)
-            rows.append(ConvergenceRow(order=order, vector_id=vid,
-                                       error=(approx - targets[vid]).norm()))
+        rows += [ConvergenceRow(order=order, vector_id=vid, error=e)
+                 for vid, e in enumerate(trial_norms(apply_symbol(sym_n) - targets))]
     return ConvergenceReport(rows=rows, norm_estimates=norm_estimates,
                              full_norm_estimate=full_norm, working_depth=work_depth)
 
@@ -164,7 +164,8 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
     (1/Q) sum_q conj(w_q)^k M_(phi_{w_q}) f recovers M_(p phi) f for the
     monomial p(w) = w^k, exactly once Q exceeds the degree span; the check
     takes Q = length + |k| + 1 nodes.  Returns the maximum residual over
-    CIRCLE_TEST_VECTORS seeded test vectors; k < 0 must recover zero.
+    CIRCLE_TEST_VECTORS seeded test vectors; k < 0 must recover zero.  A node
+    count whose block exceeds the memory budget raises DepthTooLargeForMemory.
     """
     scal = _as_scalar(phi)
     Q = scal.length + abs(k) + 1
@@ -178,21 +179,24 @@ def circle_integral_check(S: ShiftOperator, basis: SeparatedBasis,
     else:
         target_sym = None
 
+    # the images of every test vector at every node, and their coefficient stack,
+    # padded to the tree depth for reconstruction
+    stack_rows = max(f_depth + scal.length, tree.depth + 1) * basis.dim
+    entries = CIRCLE_TEST_VECTORS * Q * max(tree.n_vertices, stack_rows)
+    check_dense_entries(entries, f"the circle integral at k = {k} takes {Q} nodes and needs "
+                                 f"{entries:,} dense entries, above the memory budget")
     nodes = [np.exp(2j * np.pi * q / Q) for q in range(Q)]
     rotated = [ScalarSymbol(scal.coeffs * np.array([w ** n for n in range(scal.length)]))
                for w in nodes]
-    worst = 0.0
-    for t in range(CIRCLE_TEST_VECTORS):
-        f = L2Vector.random(tree, f_depth, stable_rng(seed, f"circle-{t}"))
-        c = analytic_coeffs(S, basis, f, order=f_depth)
-        # the images at all nodes in one Wold walk, one column per node
-        convs = np.stack([convolve_with_coeffs(sym, c).coords for sym in rotated], axis=-1)
-        images = _reconstruct_array(S, basis, convs, tree.depth).T
-        avg = kahan_mean_vectors(np.conj(w) ** k * g for w, g in zip(nodes, images))
-        if target_sym is None:
-            target = np.zeros_like(avg)
-        else:
-            target = reconstruct(S, basis, convolve_with_coeffs(target_sym, c),
-                                 tree.depth).data
-        worst = worst_of(worst, float(np.linalg.norm(avg - target)))
-    return worst
+    fs = _random_block(tree, f_depth, (stable_rng(seed, f"circle-{t}")
+                                       for t in range(CIRCLE_TEST_VECTORS)))
+    c = _coeff_array(S, basis, fs, f_depth)
+    # every test vector at every node in one Wold walk: images[vertex, vector, node]
+    convs = np.stack([_convolve_array(sym, c) for sym in rotated], axis=-1)
+    images = _reconstruct_array(S, basis, convs, tree.depth)
+    avg = kahan_mean_vectors(np.conj(w) ** k * images[..., q] for q, w in enumerate(nodes))
+    if target_sym is None:
+        target = np.zeros_like(avg)
+    else:
+        target = _reconstruct_array(S, basis, _convolve_array(target_sym, c), tree.depth)
+    return worst_of(0.0, *trial_norms(avg - target))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import check_dense_entries
+from ._util import check_dense_entries, require_nonnegative
 from .errors import Inconsistent, OutsideDisc, SupportOverflow, UnderdeterminedWarning
 from .shift import (
     L2Vector,
@@ -59,6 +59,7 @@ def analytic_coeffs(S: ShiftOperator, basis: SeparatedBasis, f: L2Vector,
     """
     if order is None:
         order = S.tree.depth
+    require_nonnegative("order", order)
     return CoeffSeq(coords=_coeff_array(S, basis, f.data, order), exact_to=order)
 
 
@@ -256,6 +257,7 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
     zmax = max(abs(z), abs(lam)) if np.isfinite([z, lam]).all() else np.inf
     if not rho * zmax < 1.0:
         raise OutsideDisc(f"|point| * rho = {rho * zmax:.4f} >= 1")
+    require_nonnegative("order", order)
     order = min(order, S.tree.depth - basis.max_generation)
     check_dense_entries(S.tree.n_vertices * basis.dim,
                         "kernel stacks would densify a tree too wide for this evaluation")
@@ -296,6 +298,8 @@ def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
     k_e = int(basis.gen_index[e_index])
     if order is None:
         order = S.tree.depth - k_e - 1
+    else:
+        require_nonnegative("order", order)
     order = min(order, S.tree.depth - k_e)
     w = basis.vector(e_index)
     acc = power = w

@@ -16,12 +16,13 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _util
 from ._util import (
+    block_width,
     check_dense_entries,
     dense_spectral_norm,
     fit_log_slope,
     power_norm,
+    require_nonnegative,
     stable_rng,
     trial_norms,
     worst_of,
@@ -108,6 +109,7 @@ def unit_symbol(dim: int) -> OpSymbol:
 
 def indicator_symbol(n: int, dim: int, mat: np.ndarray | None = None) -> OpSymbol:
     """Symbol supported at the single index n, with value mat (default identity)."""
+    require_nonnegative("index", n)
     mats = np.zeros((n + 1, dim, dim), dtype=np.complex128)
     mats[n] = np.eye(dim) if mat is None else np.asarray(mat, dtype=np.complex128)
     return OpSymbol(mats)
@@ -230,7 +232,7 @@ def _unit_columns(tree):
     """The columns of the identity in vertex order, in blocks of at most
     MAX_DENSE_ENTRIES entries: (first column, (n, width))."""
     n = tree.n_vertices
-    width = max(1, _util.MAX_DENSE_ENTRIES // n)
+    width = block_width(n)
     for start in range(0, n, width):
         cols = np.zeros((n, min(width, n - start)))
         cols[start:start + cols.shape[1]] = np.eye(cols.shape[1])
@@ -516,8 +518,10 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     """
     tree = S.tree
     depths = list(depths)
+    if not depths:
+        raise PreconditionFailed("the depth grid is empty, so there is no norm to judge")
     norms = _compressed_norms(S, basis, phi, depths, seed)
-    drops = _unit_dropped_mass(S, basis, phi, max(depths, default=0))
+    drops = _unit_dropped_mass(S, basis, phi, max(depths))
     dropped_total = sum((float(drops[:_prefix_size(tree, d)].sum()) for d in depths), 0.0)
     slope = fit_log_slope(depths, norms)
     verdict = DIVERGENT if slope > slope_threshold else BOUNDED

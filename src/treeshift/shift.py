@@ -103,8 +103,12 @@ class L2Vector:
 def _random_block(tree: Tree, max_generation: int,
                   rngs: Iterable[np.random.Generator]) -> np.ndarray:
     """Block (n, trials) whose columns are L2Vector.random draws, one per rng in turn."""
-    cols = [L2Vector.random(tree, max_generation, rng).data for rng in rngs]
-    return np.stack(cols, axis=-1) if cols else np.zeros((tree.n_vertices, 0), np.complex128)
+    return _column_block(tree, [L2Vector.random(tree, max_generation, rng).data for rng in rngs])
+
+
+def _column_block(tree: Tree, columns: list[np.ndarray]) -> np.ndarray:
+    """Block (n, len(columns)) whose columns are the given vertex vectors; (n, 0) when empty."""
+    return np.stack(columns, axis=-1) if columns else np.zeros((tree.n_vertices, 0), np.complex128)
 
 
 @dataclass
@@ -320,11 +324,20 @@ class SeparatedBasis:
         return out
 
     def vector(self, j: int) -> L2Vector:
-        out = L2Vector.zero(self.tree)
-        p, t = self._pos[j], self._rank[j]
-        out.data[p - t:p] = self._coef[j] * self._wprev[j - t + 1:j + 1]
-        out.data[p] = self._diag[j]
-        return out
+        return L2Vector(self.tree, self._vectors(j, j + 1)[:, 0])
+
+    def _vectors(self, start: int, stop: int) -> np.ndarray:
+        """Vectors start..stop-1 as the columns of an (n, stop - start) block, each
+        column contiguous.  Vector j of rank t carries _diag[j] at _pos[j] and
+        _coef[j] * _wprev[i] at _prev[i] for i = j-t+1..j."""
+        js = np.arange(start, stop)
+        out = np.zeros((len(js), self.tree.n_vertices), dtype=np.complex128)
+        out[js - start, self._pos[js]] = self._diag[js]
+        t = self._rank[js]
+        col = np.repeat(js, t)
+        i = col - (np.arange(col.size) - np.repeat(np.cumsum(t) - t, t))
+        out[col - start, self._prev[i]] = self._coef[col] * self._wprev[i]
+        return out.T
 
 
 def separated_kernel_basis(S: ShiftOperator) -> SeparatedBasis:

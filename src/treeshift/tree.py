@@ -237,16 +237,7 @@ def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tup
             raise BadParams("T2 needs depth >= 1")
         if len(params) != 1 or not (0 < params[0] < 1):
             raise BadParams("T2 needs params=[alpha] with 0 < alpha < 1")
-        alpha = float(params[0])
-        children: dict[VertexId, list[VertexId]] = {(0, 0): [(1, 1), (2, 1)]}
-        weights: dict[VertexId, float] = {(1, 1): 1.0, (2, 1): alpha}
-        for i, w in ((1, 1.0), (2, alpha)):
-            for j in range(1, depth):
-                children[(i, j)] = [(i, j + 1)]
-                weights[(i, j + 1)] = w
-            children[(i, depth)] = []
-        tree = Tree((0, 0), children, depth)
-        return tree, WeightMap(tree, weights)
+        return _double_ray(depth, [1.0] * depth, [float(params[0])] * depth)
 
     if key == "T4":
         if params:
@@ -292,13 +283,20 @@ def balanced_double_ray(depth: int, generation_norms: Sequence[float]) -> tuple[
     if any(not (c > 0) for c in generation_norms):
         raise NonpositiveWeight("generation norms must be positive")
     c = [float(x) for x in generation_norms]
+    ray = [c[0] / 2 ** 0.5] + c[1:depth]
+    return _double_ray(depth, ray, ray)
+
+
+def _double_ray(depth: int, first: Sequence[float],
+                second: Sequence[float]) -> tuple[Tree, WeightMap]:
+    """The root (0, 0) with two rays (i, 1), ..., (i, depth) for i = 1, 2; the edge
+    into (i, j) weighs first[j - 1] on ray 1 and second[j - 1] on ray 2."""
     children: dict[VertexId, list[VertexId]] = {(0, 0): [(1, 1), (2, 1)]}
-    weights: dict[VertexId, float] = {(1, 1): c[0] / 2 ** 0.5, (2, 1): c[0] / 2 ** 0.5}
-    for i in (1, 2):
-        for j in range(1, depth):
-            children[(i, j)] = [(i, j + 1)]
-            weights[(i, j + 1)] = c[j]
-        children[(i, depth)] = []
+    weights: dict[VertexId, float] = {}
+    for i, ray in ((1, first), (2, second)):
+        for j in range(1, depth + 1):
+            children[(i, j)] = [(i, j + 1)] if j < depth else []
+            weights[(i, j)] = ray[j - 1]
     tree = Tree((0, 0), children, depth)
     return tree, WeightMap(tree, weights)
 

@@ -306,3 +306,15 @@ def test_wold_parts_live_in_kernel(double_ray):
     dec = ts.wold_decompose(S, basis, f)
     for part in dec.parts:
         assert ts.apply_adjoint(S, part).norm() < 1e-12
+
+
+def test_hinf_membership_refuses_an_empty_grid():
+    beta = ts.BetaWeights(np.ones(16))
+    with pytest.raises(PreconditionFailed, match="grid is empty"):
+        ts.hinf_membership(ts.ScalarSymbol(np.array([1.0, 0.5])), beta, beta, 8, truncs=[])
+
+
+def test_beta_from_orbit_refuses_a_negative_length(double_ray):
+    S, _, _ = double_ray
+    with pytest.raises(PreconditionFailed, match="length must be nonnegative, got -1"):
+        ts.beta_from_orbit(S, ts.L2Vector.basis(S.tree, S.tree.root), -1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import BadParams, NotUnimodular
+from treeshift.errors import BadParams, DepthTooLargeForMemory, DimensionMismatch, NotUnimodular
 
 angles = st.floats(0.0, 2 * np.pi, allow_nan=False)
 
@@ -196,10 +197,9 @@ def test_circle_integral_block_walk_matches_per_node_loop(monkeypatch):
         for k in (1, 0, -2):
             walks.clear()
             got = ts.circle_integral_check(S, basis, phi, k, seed=2)
-            # one walk over all Q nodes per test vector, and one for its target
+            # one walk over all test vectors at all Q nodes, and one for their targets
             Q = phi.length + abs(k) + 1
-            assert [shape[-1] for shape in walks if len(shape) == 3] == [Q] * 5
-            assert len(walks) == (10 if k >= 0 else 5)
+            assert [shape[2:] for shape in walks] == [(5, Q)] + ([(5,)] if k >= 0 else [])
             assert got == _circle_integral_per_node(S, basis, phi, k, seed=2)
 
 
@@ -251,3 +251,27 @@ def test_fejer_domination(t2_shift):
     rep = ts.cesaro_convergence_experiment(S, basis, phi, [2, 4, 16], vecs)
     for order, est in rep.norm_estimates.items():
         assert est <= rep.full_norm_estimate * 1.05, order
+
+
+def test_circle_integral_refuses_a_node_count_above_the_memory_budget():
+    # k = 10**6 takes a million nodes: once 125 s and 2.7 GB before a result
+    tree, weights = ts.generate_example("T2", 8, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5]))
+    start = time.perf_counter()
+    for k in (10 ** 6, -10 ** 6):
+        with pytest.raises(DepthTooLargeForMemory, match="1000003 nodes"):
+            ts.circle_integral_check(S, basis, phi, k)
+    assert time.perf_counter() - start < 0.5
+    for k in (1, -2):
+        assert ts.circle_integral_check(S, basis, phi, k) < 1e-10
+
+
+def test_cesaro_refuses_a_test_vector_past_the_workable_depth(t2_shift):
+    S, basis = t2_shift
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
+    deep = ts.L2Vector.basis(S.tree, S.tree.generations[S.tree.depth - 1][0])
+    vecs = [ts.L2Vector.basis(S.tree, S.tree.root), deep]
+    with pytest.raises(DimensionMismatch, match="test vector 1 exceeds"):
+        ts.cesaro_convergence_experiment(S, basis, phi, [2], vecs)

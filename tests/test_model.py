@@ -7,7 +7,13 @@ import pytest
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import DepthTooLargeForMemory, Inconsistent, OutsideDisc, SupportOverflow
+from treeshift.errors import (
+    DepthTooLargeForMemory,
+    Inconsistent,
+    OutsideDisc,
+    PreconditionFailed,
+    SupportOverflow,
+)
 from treeshift.shift import _left_inverse_adjoint_array
 
 from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
@@ -507,3 +513,22 @@ def test_spectral_radius_norms_are_exact():
             power = lmat @ power
             dense = np.linalg.svd(power, compute_uv=False)[0]
             assert abs(got - dense) <= 1e-12 * dense
+
+
+def test_negative_coefficient_order_is_refused(t2_shift):
+    S, basis = t2_shift
+    with pytest.raises(PreconditionFailed, match="order must be nonnegative, got -2"):
+        ts.analytic_coeffs(S, basis, ts.L2Vector.basis(S.tree, S.tree.root), order=-2)
+
+
+def test_negative_eigenvector_order_is_refused(t2_shift):
+    S, basis = t2_shift
+    with pytest.raises(PreconditionFailed, match="got -5"):
+        ts.eigenvector_residual(S, basis, 0.1, 1, order=-5, rho=2.0)
+
+
+def test_negative_kernel_order_is_refused(t2_shift):
+    # the order once fell back to 0, with the tail bound of a negative exponent
+    S, basis = t2_shift
+    with pytest.raises(PreconditionFailed, match="got -3"):
+        ts.kernel_matrix(S, basis, 0.2, 0.1, order=-3, rho=2.0)

@@ -695,17 +695,17 @@ def test_membership_grid_mixes_dense_and_power_depths():
 def test_membership_grid_takes_any_depth_list(t2_shift):
     S, basis = t2_shift
     phi = ts.ScalarSymbol(np.array([1.0, -0.5j, 0.25]))
-    for depths in ([7, 2, 5, 2, 9], [4, 4], [3], []):
+    for depths in ([7, 2, 5, 2, 9], [4, 4], [3]):
         rep = ts.membership_diagnostic(S, basis, phi, depths)
         assert rep.depths == depths
         assert rep.norms == [norm for norm, _ in _per_depth_norms(S, basis, phi, depths)]
 
 
 def test_membership_empty_grid(t2_shift):
+    # an empty grid once gave the verdict BoundedSoFar with no norm behind it
     S, basis = t2_shift
-    rep = ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), [])
-    assert rep.depths == [] and rep.norms == []
-    assert rep.slope == 0.0 and rep.dropped_mass == 0.0
+    with pytest.raises(PreconditionFailed, match="grid is empty"):
+        ts.membership_diagnostic(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), [])
 
 
 def test_membership_dense_grid_makes_one_coefficient_pass(t2_shift, monkeypatch):
@@ -795,3 +795,8 @@ def test_product_law_check_rejects_nonfinite_symbols(t2_depth6):
                 ts.OpSymbol(np.stack([np.eye(basis.dim), np.full((basis.dim,) * 2, np.inf)]))):
         with pytest.raises(PreconditionFailed, match="finite"):
             ts.product_law_check(S, basis, phi, bad, trials=2)
+
+
+def test_indicator_symbol_refuses_a_negative_index():
+    with pytest.raises(PreconditionFailed, match="index must be nonnegative, got -1"):
+        ts.indicator_symbol(-1, 2)

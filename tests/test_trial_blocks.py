@@ -13,8 +13,10 @@ import pytest
 import treeshift as ts
 from treeshift import balanced as bal
 from treeshift import cli
+from treeshift import harmonics as har
 from treeshift import multiplier as mul
 from treeshift import shift as sh
+from treeshift import _util
 from treeshift._util import stable_rng, worst_of
 
 from conftest import oracle_shift_matrix
@@ -192,6 +194,72 @@ def _toeplitz_loop(a, beta1, beta2, t):
     return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
+def _cesaro_loop(S, basis, phi, orders, test_vectors, seed):
+    """The per-vector Cesàro experiment: one coefficient pass and one reconstruct
+    for each test vector under each symbol."""
+    tree = S.tree
+    f_depth = max(0, mul._test_vector_depth(basis, phi.length))
+
+    def apply_symbol(sym, f):
+        conv = ts.convolve_with_coeffs(sym, ts.analytic_coeffs(S, basis, f, order=f_depth))
+        return ts.reconstruct(S, basis, conv, tree.depth)
+
+    work_depth = max(1, min(f_depth, max(4, tree.depth // 2)))
+    full_norm, _ = ts.compressed_multiplication_norm(S, basis, phi, work_depth, seed=seed)
+    targets = [apply_symbol(phi, f) for f in test_vectors]
+    rows, norms = [], {}
+    for order in orders:
+        sym_n = ts.fejer_truncate(ts.fejer_symbol(order), phi)
+        norms[order], _ = ts.compressed_multiplication_norm(S, basis, sym_n, work_depth,
+                                                            seed=seed)
+        for vid, f in enumerate(test_vectors):
+            error = (apply_symbol(sym_n, f) - targets[vid]).norm()
+            rows.append(har.ConvergenceRow(order=order, vector_id=vid, error=error))
+    return har.ConvergenceReport(rows=rows, norm_estimates=norms,
+                                 full_norm_estimate=full_norm, working_depth=work_depth)
+
+
+def _kernel_vector_loop(basis, j):
+    """Kernel vector j written entry by entry from the closed form."""
+    out = ts.L2Vector.zero(basis.tree)
+    p, t = basis._pos[j], basis._rank[j]
+    out.data[p - t:p] = basis._coef[j] * basis._wprev[j - t + 1:j + 1]
+    out.data[p] = basis._diag[j]
+    return out
+
+
+def _ratio_bounds_loop(S, basis):
+    """The per-direction ratio bands: each kernel vector shifted alone."""
+    tree = S.tree
+    base = S.norm_upper / S.lower_bound
+    gens = basis.gen_index
+    norms = []
+    for j in range(basis.dim):
+        cur = _kernel_vector_loop(basis, j)
+        seq = [cur.norm()]
+        for _ in range(tree.depth - int(gens[j])):
+            cur = ts.apply_shift(S, cur)
+            seq.append(cur.norm())
+        norms.append(seq)
+    worst = 0.0
+    pairs = 0
+    classes = {}
+    for j, k in enumerate(gens):
+        classes.setdefault(int(k), []).append(j)
+    for ki in sorted(classes):
+        for kj in sorted(classes):
+            span = abs(ki - kj)
+            hi, lo = base ** span, (1.0 / base) ** span
+            for n in range(0, tree.depth - max(ki, kj) + 1):
+                vi = [norms[j][n] for j in classes[ki]]
+                vj = [norms[j][n] for j in classes[kj]]
+                rmax, rmin = max(vi) / min(vj), min(vi) / max(vj)
+                pairs += 1
+                worst = worst_of(worst, rmax / hi - 1.0, lo / rmin - 1.0 if rmin > 0 else 0.0)
+    return bal.RatioBoundsReport(ok=worst <= 1e-10, max_ratio_excess=worst,
+                                 pairs_checked=pairs, bound_base=base)
+
+
 def _random_op(rng, length, dim):
     shape = (length, dim, dim)
     return ts.OpSymbol(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -357,3 +425,86 @@ def test_block_checks_make_one_coefficient_pass_per_block(t2_shift, monkeypatch)
     calls.clear()
     ts.scalar_equivalence_check(S, basis, ts.ScalarSymbol(np.array([1.0, 0.5])), trials=10)
     assert [shape[1:] for shape in calls] == [(10,)]
+
+
+def _double_rays():
+    return [ts.balanced_double_ray(20, [1.0 + 1.0 / (m + 1) for m in range(20)]),
+            ts.balanced_double_ray(9, [0.5 + 0.25 * m for m in range(9)])]
+
+
+def test_cesaro_block_matches_per_vector_loop(t2_shift):
+    rng = stable_rng(26, "cesaro-blocks")
+    # generate_random_tree(6, 3, 17) leaves no headroom for a test vector, as above
+    trees = [t2_shift, _shift_and_basis(*ts.generate_random_tree(8, 2, 5)),
+             *(_shift_and_basis(*ray) for ray in _double_rays())]
+    symbols = [ts.ScalarSymbol(0.5 ** np.arange(4)),
+               ts.ScalarSymbol(rng.standard_normal(3) + 1j * rng.standard_normal(3))]
+    for S, basis in trees:
+        tree = S.tree
+        for phi in symbols:
+            f_depth = max(0, mul._test_vector_depth(basis, phi.length))
+            vecs = [ts.L2Vector.basis(tree, tree.root),
+                    *(ts.L2Vector.random(tree, f_depth, rng) for _ in range(3))]
+            for orders in ([4, 32], [0, 1, 2, 8]):
+                rep = ts.cesaro_convergence_experiment(S, basis, phi, orders, vecs, seed=3)
+                assert rep == _cesaro_loop(S, basis, phi, orders, vecs, 3)
+            # no test vectors: no rows, as in the loop
+            rep = ts.cesaro_convergence_experiment(S, basis, phi, [2, 4], [], seed=3)
+            assert rep.rows == [] and rep == _cesaro_loop(S, basis, phi, [2, 4], [], 3)
+
+
+def test_cesaro_makes_one_coefficient_pass_and_one_walk_per_symbol(t2_shift, monkeypatch):
+    from treeshift import model
+
+    S, basis = t2_shift
+    walks = []
+    inner = model._layer_array
+    monkeypatch.setattr(model, "_layer_array",
+                        lambda *args: walks.append(args[2].shape) or inner(*args))
+    passes = []
+    monkeypatch.setattr(har, "_coeff_array",
+                        lambda *args, f=har._coeff_array: passes.append(args[2].shape) or f(*args))
+    tree = S.tree
+    phi = ts.ScalarSymbol(0.5 ** np.arange(8))
+    vecs = [ts.L2Vector.basis(tree, tree.root),
+            ts.L2Vector.random(tree, mul._test_vector_depth(basis, phi.length), stable_rng(1, "c"))]
+    ts.cesaro_convergence_experiment(S, basis, phi, [4, 32], vecs)
+    assert passes == [(tree.n_vertices, 2)]
+    # the target, then one walk per order, each over both vectors
+    assert [shape[2:] for shape in walks] == [(2,)] * 3
+
+
+def test_kernel_vectors_match_their_closed_form(t2_shift, small_random):
+    for S, basis in (t2_shift, small_random, _shift_and_basis(*ts.generate_example("T4", 2, []))):
+        block = basis._vectors(0, basis.dim)
+        for j in range(basis.dim):
+            want = _kernel_vector_loop(basis, j).data
+            assert np.array_equal(basis.vector(j).data, want)
+            assert np.array_equal(block[:, j], want)
+
+
+def test_ratio_bounds_block_matches_per_direction_loop(monkeypatch):
+    cases = [_shift_and_basis(*ray) for ray in _double_rays()]
+    cases += [_shift_and_basis(*ts.generate_example("T4", 2, [])),
+              _shift_and_basis(*ts.generate_example("UNILATERAL", 6, [1.0 + m for m in range(6)]))]
+    for S, basis in cases:
+        assert ts.ratio_bounds_check(S, basis) == _ratio_bounds_loop(S, basis)
+    # three kernel directions a block on T4 (64 of them)
+    S, basis = cases[2]
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 3 * S.tree.n_vertices)
+    assert ts.ratio_bounds_check(S, basis) == _ratio_bounds_loop(S, basis)
+
+
+def test_ratio_bounds_shift_the_kernel_block_once_per_generation(monkeypatch):
+    S, basis = _shift_and_basis(*_double_rays()[0])
+    widths = []
+    inner = bal._shift_power_map
+
+    def counted(S, k):
+        shift = inner(S, k)
+        return lambda x: widths.append(x.shape[1]) or shift(x)
+
+    monkeypatch.setattr(bal, "_shift_power_map", counted)
+    ts.ratio_bounds_check(S, basis)
+    # both directions for 19 shifts; the root direction alone for the 20th
+    assert widths == [2] * 19 + [1]
