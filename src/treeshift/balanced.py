@@ -204,8 +204,9 @@ def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
     Norm of b -> a*b from the beta1-space to the beta2-space at doubling
     truncations up to trunc; the slope defaults to a fit against log2 of the
     truncation (one unit per doubling, matching the per-depth calibration).
-    Explicit truncation lists and x-coordinates support aligned comparisons.
-    A symbol entry that is not finite raises PreconditionFailed.
+    Explicit truncation lists and x-coordinates support aligned comparisons;
+    xs needs one entry per truncation.  A symbol entry that is not finite
+    raises PreconditionFailed.
     """
     if truncs is not None and not truncs:
         raise PreconditionFailed("the truncation grid is empty, so there is no norm to judge")
@@ -228,12 +229,15 @@ def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
             f"beta sequences shorter than truncation {max(truncs)}")
     if xs is None:
         xs = [float(np.log2(t)) for t in truncs]
+    elif len(xs) != len(truncs):
+        raise PreconditionFailed(
+            f"{len(xs)} x-coordinates for {len(truncs)} truncations")
     norms = [weighted_toeplitz_norm(a.coeffs, beta1.beta, beta2.beta, t) for t in truncs]
     slope = fit_log_slope(xs, norms)
     verdict = DIVERGENT if slope > SLOPE_THRESHOLD else BOUNDED
     return MembershipReport(
         depths=[int(round(x)) for x in xs], norms=norms, slope=slope,
-        verdict=verdict, threshold=SLOPE_THRESHOLD, low_confidence=len(truncs) < 4)
+        verdict=verdict, low_confidence=len(truncs) < 4)
 
 
 @dataclass

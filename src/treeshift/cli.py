@@ -230,8 +230,8 @@ def _suite_shimorin(config: RunConfig, records: list[Record]) -> None:
         records.append(_record("spectral-radius-record", "diagnostic",
                                residual=est.estimate, tree=label,
                                roots=[round(r, 12) for r in est.roots]))
-        ker0 = mod.kernel_matrix(S, basis, 0.0, 0.0, order=max(0, tree.depth - 2),
-                                 rho=est.estimate)
+        # at z = lam = 0 every term past the first is multiplied by zero
+        ker0 = mod.kernel_matrix(S, basis, 0.0, 0.0, order=0, rho=est.estimate)
         resid = float(np.linalg.norm(ker0.matrix - np.eye(basis.dim)))
         records.append(_record("kernel-at-origin", residual=resid, tol=TOL_ALG,
                                tree=label))

@@ -27,10 +27,6 @@ class DepthTooLargeForMemory(TreeShiftError):
     """Requested truncation would allocate an unreasonable number of vertices."""
 
 
-class NotDescendant(TreeShiftError):
-    """Second vertex is not a descendant of the first."""
-
-
 class SupportOverflow(TreeShiftError):
     """Operation would push support beyond the stored truncation depth."""
 

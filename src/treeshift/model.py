@@ -291,13 +291,14 @@ def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
     sequence, reconstructed to vertex space, and tested against
     S* v = lam v there (the model inner product is the pullback).  The stated
     tail bound is |lam|^(order+1) ||(L*)^order e'_j|| / ||v|| plus solver slack.
-    Requires a finite lam inside the disc of radius 1/rho.
+    The default order is depth - k - 1 for e'_j in generation k, and 0 in the
+    last generation.  Requires a finite lam inside the disc of radius 1/rho.
     """
     if not rho * abs(lam) < 1.0:
         raise OutsideDisc(f"|lam| * rho = {rho * abs(lam):.4f} >= 1")
     k_e = int(basis.gen_index[e_index])
     if order is None:
-        order = S.tree.depth - k_e - 1
+        order = max(0, S.tree.depth - k_e - 1)
     else:
         require_nonnegative("order", order)
     order = min(order, S.tree.depth - k_e)

@@ -357,15 +357,14 @@ class MembershipReport:
     """Growth diagnostic for a symbol: compressed norms across support depths.
 
     The verdict is a slope rule, not a boundedness proof; low_confidence marks
-    grids too short for the slope calibration to be meaningful.  The threshold
-    used for the verdict travels with the report.
+    grids too short for the slope calibration to be meaningful.  The verdict
+    compares the slope with SLOPE_THRESHOLD.
     """
 
     depths: list[int]
     norms: list[float]
     slope: float
     verdict: str
-    threshold: float = SLOPE_THRESHOLD
     low_confidence: bool = False
     dropped_mass: float = 0.0
 
@@ -506,12 +505,11 @@ def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
 
 def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
                           phi: ScalarSymbol | OpSymbol, depths: Iterable[int], *,
-                          slope_threshold: float = SLOPE_THRESHOLD,
                           seed: int = 0) -> MembershipReport:
     """Estimate compressed multiplication norms on V_{<=d} for each d of the grid.
 
     Divergence is flagged when the least-squares slope of log-norm against
-    depth exceeds the threshold.  Grids shorter than eight depths are marked
+    depth exceeds SLOPE_THRESHOLD.  Grids shorter than eight depths are marked
     low confidence: the threshold is calibrated for depth ranges reaching 12.
     The dropped mass is gathered once, at the deepest grid depth: each depth
     sums the prefix of its unit columns.
@@ -524,10 +522,10 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     drops = _unit_dropped_mass(S, basis, phi, max(depths))
     dropped_total = sum((float(drops[:_prefix_size(tree, d)].sum()) for d in depths), 0.0)
     slope = fit_log_slope(depths, norms)
-    verdict = DIVERGENT if slope > slope_threshold else BOUNDED
+    verdict = DIVERGENT if slope > SLOPE_THRESHOLD else BOUNDED
     return MembershipReport(
         depths=list(depths), norms=norms, slope=slope, verdict=verdict,
-        threshold=slope_threshold, low_confidence=len(depths) < 8,
+        low_confidence=len(depths) < 8,
         dropped_mass=dropped_total)
 
 
@@ -552,17 +550,13 @@ def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
         exactness_depth=tree.depth)
 
 
-def scalar_mult_apply(S: ShiftOperator, phi: ScalarSymbol, f: L2Vector) -> L2Vector:
-    """Weighted ancestor sum: (M f)(v) = sum_k lambda(par^k v | v) phi(k) f(par^k v).
+def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np.ndarray:
+    """The scalar multiplier on a vector x (n,) or a block x (n, m) of columns.
 
-    Evaluated as the Horner walk of sum_k phi(k) S^k f with the truncated
+    Weighted ancestor sum: (M f)(v) = sum_k lambda(par^k v | v) phi(k) f(par^k v),
+    evaluated as the Horner walk of sum_k phi(k) S^k f with the truncated
     shift, which drops the mass that would leave the last generation.
     """
-    return L2Vector(S.tree, _scalar_mult_array(S, phi, f.data))
-
-
-def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np.ndarray:
-    """scalar_mult_apply for a vector x (n,) or a block x (n, m) of column vectors."""
     shift = _shift_power_map(S, 1)
     acc = x * phi.coeffs[-1]
     for c in phi.coeffs[-2::-1]:

@@ -289,11 +289,6 @@ class SeparatedBasis:
     def max_generation(self) -> int:
         return int(self.gen_index.max()) if self.dim else 0
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense real (dim, n) matrix whose rows are the basis vectors."""
-        return self._coords_array(np.eye(self.tree.n_vertices))
-
     def coords(self, f: L2Vector) -> np.ndarray:
         """Coordinates <f, e'_j> of the kernel projection of f."""
         return self._coords_array(f.data)

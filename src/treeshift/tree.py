@@ -18,7 +18,6 @@ from .errors import (
     DepthTooLargeForMemory,
     MalformedSpec,
     NonpositiveWeight,
-    NotDescendant,
     UnknownExample,
 )
 
@@ -342,21 +341,3 @@ def generate_random_tree(depth: int, max_branching: int, seed: int) -> tuple[Tre
         children[u] = []
     tree = Tree((0, 0), children, depth)
     return tree, WeightMap(tree, weights)
-
-
-def lambda_product(tree: Tree, weights: WeightMap, u: VertexId, v: VertexId) -> float:
-    """Product of weights along the ancestor chain from v up to, excluding, u.
-
-    Returns 1 when u == v (empty product).  Raises NotDescendant when u is not
-    an ancestor of v.
-    """
-    if u not in tree.index or v not in tree.index:
-        raise NotDescendant(f"unknown vertex in pair ({u!r}, {v!r})")
-    prod = 1.0
-    w = v
-    while w != u:
-        if w == tree.root:
-            raise NotDescendant(f"{v!r} is not a descendant of {u!r}")
-        prod *= weights[w]
-        w = tree.parent[w]
-    return prod

@@ -36,6 +36,21 @@ def oracle_left_inverse_matrix(tree: ts.Tree, weights: ts.WeightMap) -> np.ndarr
     return np.diag(inv) @ smat.conj().T
 
 
+def oracle_lambda_product(tree: ts.Tree, weights: ts.WeightMap, u, v) -> float:
+    """Product of the weights along the ancestor chain from v up to, excluding, u.
+
+    1.0 when u == v (the empty product) and 0.0 when u is not an ancestor of
+    v: the weight that e_u carries to v under the scalar multiplier.
+    """
+    prod = 1.0
+    while v != u:
+        if v == tree.root:
+            return 0.0
+        prod *= weights[v]
+        v = tree.parent[v]
+    return prod
+
+
 @pytest.fixture(scope="session")
 def t2():
     tree, weights = ts.generate_example("T2", 14, [0.5])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import treeshift as ts
+from treeshift import balanced as bal
 from treeshift._util import stable_rng
 from treeshift.errors import (
     DimensionMismatch,
@@ -312,6 +313,17 @@ def test_hinf_membership_refuses_an_empty_grid():
     beta = ts.BetaWeights(np.ones(16))
     with pytest.raises(PreconditionFailed, match="grid is empty"):
         ts.hinf_membership(ts.ScalarSymbol(np.array([1.0, 0.5])), beta, beta, 8, truncs=[])
+
+
+def test_hinf_membership_refuses_xs_of_another_length(monkeypatch):
+    def no_norm(*args):
+        raise AssertionError("a norm was computed before the grid was checked")
+
+    monkeypatch.setattr(bal, "weighted_toeplitz_norm", no_norm)
+    beta = ts.BetaWeights(np.ones(16))
+    with pytest.raises(PreconditionFailed, match="1 x-coordinates for 2 truncations"):
+        ts.hinf_membership(ts.ScalarSymbol(np.array([1.0, 0.5])), beta, beta, 8,
+                           truncs=[4, 8], xs=[1.0])
 
 
 def test_beta_from_orbit_refuses_a_negative_length(double_ray):

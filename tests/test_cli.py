@@ -103,6 +103,8 @@ def test_every_record_name_registered():
     for rec in report.records:
         assert rec.name in CHECK_REFS
         assert rec.law == CHECK_REFS[rec.name]
+    # and the converse: no registered name outlives the check that emitted it
+    assert set(CHECK_REFS) == {rec.name for rec in report.records}
 
 
 def test_unregistered_record_rejected():

@@ -22,7 +22,7 @@ from conftest import oracle_left_inverse_matrix, oracle_shift_matrix
 def oracle_coeffs(tree, weights, basis, f, order):
     """Dense-matrix route: stack basis-projections of L^n f."""
     lmat = oracle_left_inverse_matrix(tree, weights)
-    bmat = basis.matrix
+    bmat = basis._coords_array(np.eye(tree.n_vertices))
     out = np.zeros((order + 1, basis.dim), dtype=np.complex128)
     cur = f.data.copy()
     for n in range(order + 1):
@@ -306,6 +306,17 @@ def test_eigenvector_residual_zero(t2_shift):
     S, basis = t2_shift
     rep = ts.eigenvector_residual(S, basis, 0.0, 0, rho=2.0)
     assert rep.residual < 1e-14
+
+
+def test_eigenvector_residual_last_generation_takes_order_zero(t4_shift):
+    # a kernel vector in the last generation has no room for an L* term, so
+    # the default order is 0 and the residual is the order-0 truncation, |lam|
+    S, basis = t4_shift
+    j = int(np.flatnonzero(basis.gen_index == S.tree.depth)[0])
+    rep = ts.eigenvector_residual(S, basis, 0.3, j, rho=1.0)
+    assert rep.order == 0
+    assert rep.residual == pytest.approx(0.3, rel=1e-12)
+    assert rep.residual <= rep.tail_bound
 
 
 def test_eigenvector_outside_disc(t2_shift):

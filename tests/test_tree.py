@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 import treeshift as ts
 from treeshift.errors import (
@@ -10,7 +9,6 @@ from treeshift.errors import (
     DepthTooLargeForMemory,
     MalformedSpec,
     NonpositiveWeight,
-    NotDescendant,
     UnknownExample,
 )
 
@@ -123,39 +121,6 @@ def test_unilateral():
 def test_unknown_example():
     with pytest.raises(UnknownExample):
         ts.generate_example("T9", 3, [])
-
-
-def test_lambda_product_examples(t2):
-    tree, weights = t2
-    assert ts.lambda_product(tree, weights, (1, 2), (1, 2)) == 1.0
-    assert ts.lambda_product(tree, weights, (0, 0), (2, 3)) == pytest.approx(0.125, abs=0)
-    with pytest.raises(NotDescendant):
-        ts.lambda_product(tree, weights, (1, 1), (2, 3))
-
-
-@given(seed=st.integers(0, 200), k=st.integers(0, 8))
-def test_lambda_product_telescopes(seed, k):
-    tree, weights = ts.generate_random_tree(8, 3, seed)
-    leaf = tree.root
-    while tree.children[leaf]:
-        leaf = tree.children[leaf][0]
-    k = min(k, tree.generation[leaf])
-    anc = leaf
-    for _ in range(k):
-        anc = tree.parent[anc]
-    # brute-force product along the chain
-    prod = 1.0
-    w = leaf
-    while w != anc:
-        prod *= weights[w]
-        w = tree.parent[w]
-    assert ts.lambda_product(tree, weights, anc, leaf) == pytest.approx(prod, rel=1e-15)
-    if k >= 1:
-        above = tree.parent[anc] if anc != tree.root else None
-        if above is not None:
-            combined = ts.lambda_product(tree, weights, above, leaf)
-            split = ts.lambda_product(tree, weights, anc, leaf) * weights[anc]
-            assert combined == pytest.approx(split, rel=1e-12)
 
 
 def test_generation_indexing(t2):

@@ -311,7 +311,7 @@ def test_scalar_equivalence_block_matches_per_vector_loop(t2_shift):
             rep = ts.scalar_equivalence_check(S, basis, phi, trials=10, seed=4)
             assert rep.max_residual == _scalar_equivalence_loop(S, basis, phi, 10, 4)
             f = ts.L2Vector.random(S.tree, S.tree.depth, rng)
-            assert np.array_equal(ts.scalar_mult_apply(S, phi, f).data,
+            assert np.array_equal(mul._scalar_mult_array(S, phi, f.data),
                                   _scalar_mult_loop(S, phi, f).data)
 
 
