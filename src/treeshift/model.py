@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -90,16 +91,23 @@ def expand_layers(S: ShiftOperator, basis: SeparatedBasis, c: CoeffSeq) -> L2Vec
     return L2Vector(S.tree, _layer_array(S, basis, c.coords))
 
 
-def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray,
-                 step=_shift_array) -> np.ndarray:
-    """sum_n step^n c(n), with step S or, for the adjoint symbol map, L*, for
-    coefficients laid out as _coeff_array returns them."""
-    acc = np.zeros((S.tree.n_vertices,) + coords.shape[2:], dtype=np.complex128)
-    for n in range(coords.shape[0] - 1, -1, -1):
-        if n < coords.shape[0] - 1:
-            acc = step(S, acc)
-        acc = acc + basis._from_coords_array(coords[n])
+def _horner(step, terms):
+    """sum_n step^n t_n by Horner's rule, for a block map step and terms given last first."""
+    terms = iter(terms)
+    acc = next(terms)
+    for t in terms:
+        acc = step(acc) + t
     return acc
+
+
+def _layer_array(S: ShiftOperator, basis: SeparatedBasis, coords: np.ndarray,
+                 step=None) -> np.ndarray:
+    """sum_n step^n c(n) from complex zeros, for coefficients laid out as _coeff_array
+    returns them; step is a block map, by default S, which refuses the last generation."""
+    layers = (basis._from_coords_array(c) for c in coords[::-1])
+    zero = np.zeros((S.tree.n_vertices,) + coords.shape[2:], dtype=np.complex128)
+    step = step or (lambda x: _shift_array(S, x))
+    return _horner(step, chain([zero + next(layers, 0.0)], layers))
 
 
 class CoefficientSystem:
@@ -264,9 +272,7 @@ def kernel_matrix(S: ShiftOperator, basis: SeparatedBasis, z: complex, lam: comp
     B = basis._from_coords_array(np.eye(basis.dim, dtype=np.complex128))
     BB = np.hstack([B, B])
     scale = np.repeat(np.conj([z, lam]), basis.dim)
-    W = BB
-    for _ in range(order):
-        W = BB + scale * _left_inverse_adjoint_array(S, W)
+    W = _horner(lambda W: scale * _left_inverse_adjoint_array(S, W), [BB] * (order + 1))
     K = W[:, :basis.dim].conj().T @ W[:, basis.dim:]
     q = rho * zmax
     tail = (q ** (order + 1)) / (1.0 - q) if q < 1 else np.inf
@@ -292,17 +298,18 @@ def eigenvector_residual(S: ShiftOperator, basis: SeparatedBasis, lam: complex,
     S* v = lam v there (the model inner product is the pullback).  The stated
     tail bound is |lam|^(order+1) ||(L*)^order e'_j|| / ||v|| plus solver slack.
     The default order is depth - k - 1 for e'_j in generation k, and 0 in the
-    last generation.  Requires a finite lam inside the disc of radius 1/rho.
+    last generation.  Requires a finite lam inside the disc of radius 1/rho and
+    an index of the basis (PreconditionFailed otherwise).
     """
     if not rho * abs(lam) < 1.0:
         raise OutsideDisc(f"|lam| * rho = {rho * abs(lam):.4f} >= 1")
+    w = basis.vector(e_index)
     k_e = int(basis.gen_index[e_index])
     if order is None:
         order = max(0, S.tree.depth - k_e - 1)
     else:
         require_nonnegative("order", order)
     order = min(order, S.tree.depth - k_e)
-    w = basis.vector(e_index)
     acc = power = w
     for k in range(1, order + 1):
         power = apply_left_inverse_adjoint(S, power)

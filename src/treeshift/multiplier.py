@@ -28,7 +28,7 @@ from ._util import (
     worst_of,
 )
 from .errors import DimensionMismatch, NotInCommutant, PreconditionFailed
-from .model import CoeffSeq, _coeff_array, _layer_array, _reconstruct_array
+from .model import CoeffSeq, _coeff_array, _horner, _layer_array, _reconstruct_array
 from .model import analytic_coeffs  # noqa: F401  (perfbench's trace tests read it here)
 from .shift import (
     L2Vector,
@@ -187,9 +187,16 @@ def _convolution_law_trials(dim: int, rng: np.random.Generator,
 
 
 def convolve_with_coeffs(phi: ScalarSymbol | OpSymbol, c: CoeffSeq) -> CoeffSeq:
-    """(phi * c)(n) = sum_{k<=n} phi(k) c(n-k), out to full length."""
+    """(phi * c)(n) = sum_{k<=n} phi(k) c(n-k), out to full length.
+
+    Entry n is exact when every c(n-k) it reads with phi(k) != 0 is, so exact_to
+    is c.exact_to plus the index of the first nonzero entry of phi, capped at
+    the last index, which a zero symbol reaches.
+    """
     out = _convolve_array(phi, c.coords)
-    return CoeffSeq(coords=out, exact_to=min(len(out) - 1, c.exact_to + phi.length - 1))
+    values = phi.coeffs if isinstance(phi, ScalarSymbol) else phi.mats
+    first = next((k for k, a in enumerate(values) if np.any(a)), len(out))
+    return CoeffSeq(coords=out, exact_to=min(len(out) - 1, c.exact_to + first))
 
 
 def _convolve_array(phi: ScalarSymbol | OpSymbol, coords: np.ndarray) -> np.ndarray:
@@ -369,26 +376,15 @@ class MembershipReport:
     dropped_mass: float = 0.0
 
 
-def _drop_beyond_depth(coords: np.ndarray, basis: SeparatedBasis) -> None:
-    """Zero, in place, the components whose layer would leave the truncation.
-
-    Component j of coefficient n expands to S^n e'_j, which lives in
-    generation gen_index[j] + n; it is dropped when that passes the tree
-    depth.  coords has shape (length, dim) or is a block (length, dim, m).
-    """
-    over = np.add.outer(np.arange(coords.shape[0]), basis.gen_index) > basis.tree.depth
-    over = over.reshape(over.shape + (1,) * (coords.ndim - 2))
-    coords[np.broadcast_to(over, coords.shape)] = 0.0
-
-
 def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
                       phi: ScalarSymbol | OpSymbol, d: int, x: np.ndarray) -> np.ndarray:
     """Expansion of phi * coeffs(f) for f given on V_{<=d}.
 
     x holds the entries of f on V_{<=d}, a prefix of the breadth-first vertex
     order: one vector (n_in,) or a block (n_in, m) of column vectors, taken in
-    one coefficient, convolution and layer pass; components whose layer would
-    leave the truncation are dropped.  On np.eye(n_in) it gives the compressed
+    one coefficient, convolution and layer pass, whose truncating gather drops
+    each component j of coefficient n whose layer, in generation gen_index[j] + n,
+    passes the depth.  On np.eye(n_in) it gives the compressed
     map, whose first _prefix_size(tree, d') columns are, bit for bit, the map
     at d' < d: an input on V_{<=d'} has zero coefficients past order d', so
     the extra orders and Horner layers add exact zeros.
@@ -397,24 +393,24 @@ def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
     f = np.zeros((S.tree.n_vertices,) + x.shape[1:], dtype=np.complex128)
     f[:n_in] = x
     conv = _convolve_array(phi, _coeff_array(S, basis, f, d))
-    _drop_beyond_depth(conv, basis)
-    return _layer_array(S, basis, conv)
+    return _layer_array(S, basis, conv, _shift_power_map(S, 1))
 
 
 def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
                               phi: ScalarSymbol | OpSymbol, d: int,
                               z: np.ndarray) -> np.ndarray:
     """Adjoint of _apply_symbol_map, back to coefficients over V_{<=d}: the model's
-    coefficient pass with S*, the drop, the correlation with phi, its Horner walk with L*."""
+    coefficient pass with S*, exactly zero where the forward walk drops, the
+    correlation with phi, its Horner walk with L*."""
     ys = _coeff_array(S, basis, z, phi.length + d - 1, _adjoint_array)
-    _drop_beyond_depth(ys, basis)
     cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
     for k in range(phi.length):
         if isinstance(phi, ScalarSymbol):
             cprime += np.conj(phi.coeffs[k]) * ys[k:k + d + 1]
         else:
             cprime += ys[k:k + d + 1] @ phi.mats[k].conj()
-    return _layer_array(S, basis, cprime, _left_inverse_adjoint_array)[:_prefix_size(S.tree, d)]
+    walk = _layer_array(S, basis, cprime, lambda x: _left_inverse_adjoint_array(S, x))
+    return walk[:_prefix_size(S.tree, d)]
 
 
 def _is_dense(tree, d: int) -> bool:
@@ -557,11 +553,7 @@ def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np
     evaluated as the Horner walk of sum_k phi(k) S^k f with the truncated
     shift, which drops the mass that would leave the last generation.
     """
-    shift = _shift_power_map(S, 1)
-    acc = x * phi.coeffs[-1]
-    for c in phi.coeffs[-2::-1]:
-        acc = shift(acc) + x * c
-    return acc
+    return _horner(_shift_power_map(S, 1), (x * c for c in phi.coeffs[::-1]))
 
 
 def _test_vector_depth(basis: SeparatedBasis, length: int) -> int:

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import NotLeftInvertible, SupportOverflow
+from .errors import NotLeftInvertible, PreconditionFailed, SupportOverflow
 from .tree import Tree, VertexId, WeightMap, _prefix_size
 
 
@@ -130,7 +130,6 @@ class ShiftOperator:
         n = tree.n_vertices
         # Breadth-first order puts the root first; every later vertex is a child.
         rest = tree.vertices[1:]
-        self._child_idx = np.arange(1, n, dtype=np.intp)
         self._parent_idx = np.array([tree.index[tree.parent[v]] for v in rest], dtype=np.intp)
         self._wvec = np.array([self.weights[v] for v in rest], dtype=np.float64)
 
@@ -155,12 +154,17 @@ def _rowwise(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w.reshape(w.shape + (1,) * (x.ndim - 1))
 
 
-def _shift_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
-    """S applied to x, a vector (n,) or a block (n, m) of column vectors."""
+def _require_room(S: ShiftOperator, x: np.ndarray) -> None:
+    """SupportOverflow when x touches the last generation, which S raises out of the tree."""
     if np.any(x[S._n_internal:]):
         raise SupportOverflow("input touches the last generation")
+
+
+def _shift_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
+    """S applied to x, a vector (n,) or a block (n, m) of column vectors."""
+    _require_room(S, x)
     out = np.zeros(x.shape, dtype=np.complex128)
-    out[S._child_idx] = _rowwise(S._wvec, x) * x[S._parent_idx]
+    out[1:] = _rowwise(S._wvec, x) * x[S._parent_idx]
     return out
 
 
@@ -173,13 +177,13 @@ def _shift_power_map(S: ShiftOperator, k: int):
     the dense matrix of the truncated shift.  Entries in the last k
     generations have no image, as in the dense truncation.
     """
-    par, lam = np.append(0, S._parent_idx), np.append(0.0, S._wvec)
     start = _prefix_size(S.tree, k - 1)
     anc = np.arange(start, S.tree.n_vertices)
     w = np.ones(anc.size)
+    # Vertex v > 0 sits at v - 1 in the shift's arrays, and no vertex read here is the root.
     for _ in range(k):
-        w = w * lam[anc]
-        anc = par[anc]
+        w = w * S._wvec[anc - 1]
+        anc = S._parent_idx[anc - 1]
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
@@ -191,7 +195,7 @@ def _shift_power_map(S: ShiftOperator, k: int):
 def _adjoint_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
     """S* applied to x, a vector (n,) or a block (n, m) of column vectors."""
     out = np.zeros(x.shape, dtype=np.complex128)
-    np.add.at(out, S._parent_idx, _rowwise(S._wvec, x) * x[S._child_idx])
+    np.add.at(out, S._parent_idx, _rowwise(S._wvec, x) * x[1:])
     return out
 
 
@@ -232,15 +236,14 @@ def _left_inverse_adjoint_array(S: ShiftOperator, x: np.ndarray) -> np.ndarray:
     if S.lower_bound <= 0:
         raise NotLeftInvertible("shift has no positive lower bound on the truncation")
     out = np.zeros(x.shape, dtype=np.complex128)
-    out[S._child_idx] = _rowwise(S._wvec, x) * x[S._parent_idx] / _rowwise(S._ns[S._parent_idx], x)
+    out[1:] = _rowwise(S._wvec, x) * x[S._parent_idx] / _rowwise(S._ns[S._parent_idx], x)
     return out
 
 
 def apply_left_inverse_adjoint(S: ShiftOperator, f: L2Vector) -> L2Vector:
     """(L*f)(v) = lambda_v f(parent v) / ||S e_{parent v}||^2; a weighted raise."""
     out = _left_inverse_adjoint_array(S, f.data)
-    if f.support_depth() >= S.tree.depth:
-        raise SupportOverflow("input touches the last generation")
+    _require_room(S, f.data)
     return L2Vector(S.tree, out)
 
 
@@ -319,6 +322,9 @@ class SeparatedBasis:
         return out
 
     def vector(self, j: int) -> L2Vector:
+        """Kernel vector j; PreconditionFailed unless 0 <= j < dim."""
+        if not 0 <= j < self.dim:
+            raise PreconditionFailed(f"kernel index {j} lies outside 0..{self.dim - 1}")
         return L2Vector(self.tree, self._vectors(j, j + 1)[:, 0])
 
     def _vectors(self, start: int, stop: int) -> np.ndarray:

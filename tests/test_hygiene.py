@@ -1,4 +1,5 @@
-"""Source hygiene that no linter checks here: every import a module makes is used."""
+"""Source hygiene that no linter checks here: every import a module makes is used,
+and every module-level private name is referenced somewhere in the package."""
 
 from __future__ import annotations
 
@@ -48,3 +49,61 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in _imported_names(tree, source.splitlines()).items()
               if name not in _used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level private name -> the statement that binds it (def, class or assignment)."""
+    out: dict[str, ast.stmt] = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = stmt
+    return out
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names node reads: loaded names, attribute names and imported names."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs |= {alias.name for alias in sub.names}
+    return refs
+
+
+def unreferenced_private_names(package: Path) -> list[str]:
+    """`module.name` for each module-level private name of the package that no
+    statement reads except the one defining it."""
+    modules = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    reads = [(stmt, _references(stmt)) for tree in modules.values() for stmt in tree.body]
+    unused = []
+    for mod_name, tree in modules.items():
+        for name, own in _private_definitions(tree).items():
+            if not any(name in refs for stmt, refs in reads if stmt is not own):
+                unused.append(f"{mod_name}.{name}")
+    return unused
+
+
+def test_every_private_name_is_referenced():
+    package = Path(ts.__file__).resolve().parent
+    assert _private_definitions(ast.parse((package / "multiplier.py").read_text(encoding="utf-8")))
+    unused = unreferenced_private_names(package)
+    assert not unused, f"private names nothing in the package reads: {unused}"
+
+
+def test_unreferenced_private_name_is_caught(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\n"
+        "def _orphan(x):\n    return _orphan(x - 1) if x else _used()\n")
+    (tmp_path / "b.py").write_text("from .a import _used\n\nVALUE = _used()\n")
+    assert unreferenced_private_names(tmp_path) == ["a._orphan"]

@@ -543,3 +543,23 @@ def test_negative_kernel_order_is_refused(t2_shift):
     S, basis = t2_shift
     with pytest.raises(PreconditionFailed, match="got -3"):
         ts.kernel_matrix(S, basis, 0.2, 0.1, order=-3, rho=2.0)
+
+
+def test_kernel_index_outside_the_basis_is_refused():
+    # a negative index once wrapped around to the last kernel vector, and an
+    # index of dim raised an untyped IndexError
+    tree, weights = ts.generate_example("T2", 6, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    for j in (-1, -basis.dim, basis.dim, basis.dim + 3):
+        with pytest.raises(PreconditionFailed, match="kernel index"):
+            basis.vector(j)
+        with pytest.raises(PreconditionFailed, match="kernel index"):
+            ts.eigenvector_residual(S, basis, 0.1, j, rho=1.0)
+    assert basis.vector(basis.dim - 1).norm() == pytest.approx(1.0)
+
+
+def test_empty_coefficient_sequence_expands_to_zero(t2_shift):
+    S, basis = t2_shift
+    g = ts.expand_layers(S, basis, ts.CoeffSeq(np.zeros((0, basis.dim), np.complex128), -1))
+    assert g.data.dtype == np.complex128 and np.array_equal(g.data, np.zeros(S.tree.n_vertices))

@@ -166,6 +166,26 @@ def test_convolve_with_coeffs_double_loop_oracle(t2_shift):
     assert np.linalg.norm(again.coords - c.coords) < 1e-15
 
 
+def test_convolve_with_coeffs_claims_only_exact_entries():
+    # entry n reads c(n - k) for every k with phi(k) != 0; with c exact to 3, a
+    # symbol whose first nonzero entry is at k0 makes the product exact to 3 + k0
+    tree, weights = ts.generate_example("T2", 10, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    basis = ts.separated_kernel_basis(S)
+    f = ts.L2Vector.random(tree, tree.depth, stable_rng(6, "exact-to"))
+    c, full = ts.analytic_coeffs(S, basis, f, order=3), ts.analytic_coeffs(S, basis, f)
+    cases = [(ts.ScalarSymbol(np.array([1.0, 0.5, 0.25])), 3),
+             (ts.ScalarSymbol(np.array([0.0, 0.5, 0.25])), 4),
+             (ts.indicator_symbol(2, basis.dim), 5),
+             (ts.ScalarSymbol(np.zeros(3)), 5)]
+    for phi, exact_to in cases:
+        got, want = ts.convolve_with_coeffs(phi, c), ts.convolve_with_coeffs(phi, full)
+        assert got.exact_to == exact_to
+        misfit = np.linalg.norm(got.coords - want.coords[:got.length], axis=1)
+        assert np.all(misfit[:exact_to + 1] < 1e-12)
+        assert np.all(misfit[exact_to + 1:] > 1.0)
+
+
 def test_extract_symbol_identity_and_shift(t2_shift, t2):
     S, basis = t2_shift
     tree, weights = t2
@@ -455,6 +475,14 @@ def _unit_block(tree, d):
     return np.eye(_prefix_size(tree, d), dtype=np.complex128)
 
 
+def _beyond_depth(basis, coords):
+    """Mask of the components j of coefficient n whose layer S^n e'_j, in generation
+    gen_index[j] + n, passes the tree depth; coords is (length, dim) or a block
+    (length, dim, m).  The truncation rule's oracle."""
+    over = np.add.outer(np.arange(len(coords)), basis.gen_index) > basis.tree.depth
+    return over.reshape(over.shape + (1,) * (coords.ndim - 2))
+
+
 def _where_dropped_mass(S, basis, phi, d, x):
     """Mass the truncation drops from the convolved coefficients of each column
     of x, a vector or block on V_{<=d}, as a masked norm summed over the
@@ -465,9 +493,7 @@ def _where_dropped_mass(S, basis, phi, d, x):
     f = np.zeros((S.tree.n_vertices,) + x.shape[1:], dtype=np.complex128)
     f[:len(x)] = x
     conv = _convolve_array(phi, _coeff_array(S, basis, f, d))
-    over = np.add.outer(np.arange(len(conv)), basis.gen_index) > S.tree.depth
-    over = over.reshape(over.shape + (1,) * (conv.ndim - 2))
-    return np.linalg.norm(np.where(over, conv, 0.0), axis=1).sum(axis=0)
+    return np.linalg.norm(np.where(_beyond_depth(basis, conv), conv, 0.0), axis=1).sum(axis=0)
 
 
 def test_compressed_map_matches_literal_reconstruct(t2_shift):
@@ -524,8 +550,8 @@ def test_power_path_maps_are_adjoint():
 
 
 def _loop_symbol_map_adjoint(S, basis, phi, d, z):
-    """_apply_symbol_map_adjoint walking S* one L2Vector at a time: the oracle."""
-    from treeshift.multiplier import _drop_beyond_depth
+    """_apply_symbol_map_adjoint walking S* one L2Vector at a time and zeroing the
+    coefficients whose layer passes the depth: the oracle."""
     from treeshift.shift import _left_inverse_adjoint_array
 
     tree = S.tree
@@ -535,7 +561,7 @@ def _loop_symbol_map_adjoint(S, basis, phi, d, z):
     for m in range(length):
         ys[m] = basis.coords(v)
         v = ts.apply_adjoint(S, v)
-    _drop_beyond_depth(ys, basis)
+    ys[_beyond_depth(basis, ys)] = 0.0
     cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
     for k in range(phi.length):
         if isinstance(phi, ts.ScalarSymbol):
@@ -551,13 +577,56 @@ def _loop_symbol_map_adjoint(S, basis, phi, d, z):
 def test_symbol_map_adjoint_matches_vector_loop():
     from treeshift.multiplier import _apply_symbol_map_adjoint
 
+    # the S* pass needs no mask: it is exactly zero wherever the oracle zeroes
     rng = stable_rng(2, "adjoint-loop")
-    for S, basis, phi in _power_path_cases():
+    for S, basis, phi in (*_power_path_cases(), *_truncation_cases()):
         n = S.tree.n_vertices
-        for d in (0, 2, 4):
+        for d in range(S.tree.depth + 1):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             assert np.array_equal(_apply_symbol_map_adjoint(S, basis, phi, d, z),
                                   _loop_symbol_map_adjoint(S, basis, phi, d, z))
+
+
+def _truncation_cases():
+    """Trees of several shapes, each with a scalar and an operator symbol whose
+    convolution reaches past the last generation."""
+    trees = [ts.generate_example("T2", 10, [0.5]), ts.generate_example("T4", 2, []),
+             ts.generate_example("UNILATERAL", 7, [1.0 + 0.1 * m for m in range(7)]),
+             ts.balanced_double_ray(6, [1.0 + 0.2 * m for m in range(7)])]
+    trees += [ts.generate_random_tree(6, 3, seed) for seed in (3, 11, 12, 13)]
+    for tree, weights in trees:
+        S = ts.ShiftOperator(tree, weights)
+        basis = ts.separated_kernel_basis(S)
+        rng = stable_rng(3, f"truncation-{tree.n_vertices}")
+        shape = (3, basis.dim, basis.dim)
+        yield S, basis, ts.ScalarSymbol(np.array([1, -0.5j, 0.25, 0.3]))
+        yield S, basis, ts.OpSymbol(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _masked_symbol_map(S, basis, phi, d, x):
+    """_apply_symbol_map by the rule stated on coefficients: zero each component
+    whose layer passes the depth, then walk with the refusing shift, which the
+    mask keeps from raising.  The oracle for the truncating walk."""
+    from treeshift.model import _coeff_array, _layer_array
+    from treeshift.multiplier import _convolve_array
+
+    f = np.zeros((S.tree.n_vertices,) + x.shape[1:], dtype=np.complex128)
+    f[:len(x)] = x
+    conv = _convolve_array(phi, _coeff_array(S, basis, f, d))
+    return _layer_array(S, basis, np.where(_beyond_depth(basis, conv), 0.0, conv))
+
+
+def test_symbol_map_truncates_as_the_coefficient_mask():
+    from treeshift.multiplier import _apply_symbol_map
+
+    rng = stable_rng(4, "truncation-oracle")
+    for S, basis, phi in _truncation_cases():
+        for d in range(S.tree.depth + 1):
+            n_in = _prefix_size(S.tree, d)
+            x = rng.standard_normal((n_in, 3)) + 1j * rng.standard_normal((n_in, 3))
+            for xs in (x, x[:, 0]):
+                assert np.array_equal(_apply_symbol_map(S, basis, phi, d, xs),
+                                      _masked_symbol_map(S, basis, phi, d, xs))
 
 
 def _dropped_mass_cases():

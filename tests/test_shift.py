@@ -268,8 +268,9 @@ def test_shift_arrays_match_vertex_loop(t2, t4_depth2):
         S = ts.ShiftOperator(tree, weights)
         child_idx, parent_idx, wvec, ns, norm_squares, lower_bound = _loop_shift_arrays(
             tree, weights)
-        for got, want in ((S._child_idx, child_idx), (S._parent_idx, parent_idx),
-                          (S._wvec, wvec), (S._ns, ns)):
+        # the kernels read the children as the slice [1:] of the vertex order
+        assert np.array_equal(child_idx, np.arange(1, tree.n_vertices))
+        for got, want in ((S._parent_idx, parent_idx), (S._wvec, wvec), (S._ns, ns)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         assert list(S.norm_squares.items()) == list(norm_squares.items())
         assert S.lower_bound == lower_bound
