@@ -77,8 +77,8 @@ class OpSymbol:
 
     def __post_init__(self) -> None:
         self.mats = np.asarray(self.mats, dtype=np.complex128)
-        if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2]:
-            raise DimensionMismatch("operator symbol needs shape (length, d, d)")
+        if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2] or not len(self.mats):
+            raise DimensionMismatch("operator symbol needs shape (length, d, d), length >= 1")
 
     @property
     def length(self) -> int:
@@ -135,12 +135,23 @@ def convolve(a: ScalarSymbol | OpSymbol, b: ScalarSymbol | OpSymbol) -> ScalarSy
 
 def _cauchy(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Cauchy product of the matrix sequences a (la, d, d) and b (lb, d, d), written
-    into out (la + lb - 1, d, d); tmp is a (d, d) buffer for each matrix product."""
-    out.fill(0.0)
-    for j in range(len(a)):
-        for k in range(len(b)):
-            np.matmul(a[j], b[k], out=tmp)
-            out[j + k] += tmp
+    into out (la + lb - 1, d, d) one index at a time by _cauchy_term."""
+    for m in range(len(out)):
+        _cauchy_term(a, b, m, out[m], tmp)
+    return out
+
+
+def _cauchy_term(a: np.ndarray, b: np.ndarray, m: int, out: np.ndarray,
+                 tmp: np.ndarray) -> np.ndarray:
+    """(a * b)(m) = sum_j a(j) b(m - j) written into out (d, d), the terms in
+    ascending j.  The first product goes straight into out, so no zero fill is
+    needed: 0.0 + x == x, up to the sign of an exact zero.  tmp is a (d, d)
+    buffer for each later product."""
+    first, stop = max(0, m - len(b) + 1), min(len(a), m + 1)
+    np.matmul(a[first], b[m - first], out=out)
+    for j in range(first + 1, stop):
+        np.matmul(a[j], b[m - j], out=tmp)
+        out += tmp
     return out
 
 
@@ -153,31 +164,36 @@ def _convolution_law_trials(dim: int, rng: np.random.Generator,
     with a, (a * b) * c with a * (b * c), and the two scalar products.  The
     draws come from rng in that order, the real part of a symbol before its
     imaginary part, and give the same bits as re + 1j * im.  Every buffer is
-    allocated once, about 36 dim^2 complex entries, and a dimension whose
-    buffers exceed the memory budget raises DepthTooLargeForMemory first.
+    allocated once, 25 dim^2 complex entries (a, b, c 9, unit 1, pair 6, one 7,
+    two 1, tmp 1): the draws run through a float view of `one`, which then
+    takes the unit law and (a * b) * c, and a * (b * c) is subtracted from it
+    one index at a time.  A dimension whose buffers exceed the memory budget
+    raises DepthTooLargeForMemory first.
     """
-    check_dense_entries(36 * dim * dim,
+    check_dense_entries(25 * dim * dim,
                         f"convolution-law trials at kernel dimension {dim} need "
-                        f"{36 * dim * dim:,} dense entries, above the memory budget")
+                        f"{25 * dim * dim:,} dense entries, above the memory budget")
     shape = (dim, dim)
-    real = np.empty((4,) + shape)
     a, b, c = (np.empty((n,) + shape, dtype=np.complex128) for n in (3, 4, 2))
     unit = unit_symbol(dim).mats
     pair = np.empty((6,) + shape, dtype=np.complex128)  # a * b, then b * c
-    au, one, two = (np.empty((n,) + shape, dtype=np.complex128) for n in (3, 7, 7))
-    tmp = np.empty(shape, dtype=np.complex128)
+    one = np.empty((7,) + shape, dtype=np.complex128)
+    # 4 dim^2 floats, the most one symbol's real or imaginary part takes
+    real = one.reshape(-1).view(np.float64)[:4 * dim * dim].reshape((4,) + shape)
+    two, tmp = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
     worst_unit = worst_assoc = worst_comm = 0.0
     for _ in range(trials):
         for sym in (a, b, c):
             part = real[:len(sym)]
             sym.real = rng.standard_normal(out=part)
             sym.imag = rng.standard_normal(out=part)
-        _cauchy(a, unit, au, tmp)
+        au = _cauchy(a, unit, one[:len(a)], tmp)
         au -= a
         worst_unit = worst_of(worst_unit, float(np.linalg.norm(au)))
         _cauchy(_cauchy(a, b, pair, tmp), c, one, tmp)
-        _cauchy(a, _cauchy(b, c, pair[:5], tmp), two, tmp)
-        one -= two
+        bc = _cauchy(b, c, pair[:5], tmp)
+        for m in range(len(one)):
+            one[m] -= _cauchy_term(a, bc, m, two, tmp)
         worst_assoc = worst_of(worst_assoc, float(np.linalg.norm(one)))
         sa = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         sb = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -209,15 +225,23 @@ def _convolve_array(phi: ScalarSymbol | OpSymbol, coords: np.ndarray) -> np.ndar
         for k, a in enumerate(phi.coeffs):
             out[k:k + length] += a * coords
     else:
-        # The (n, column) rows of a block go through one matrix product per k,
-        # as the rows of one sequence do; a product per column could take a
-        # matrix-vector kernel that rounds differently.
-        rows = np.moveaxis(coords, 1, -1)
-        flat = rows.reshape(-1, coords.shape[1])
         for k in range(phi.length):
-            term = (flat @ phi.mats[k].T).reshape(rows.shape)
-            out[k:k + length] += np.moveaxis(term, -1, 1)
+            out[k:k + length] += _dim_axis_product(coords, phi.mats[k].T)
     return out
+
+
+def _dim_axis_product(coords: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Each row along axis 1 of coords (length, dim) or (length, dim, m) times mat.
+
+    All (n, column) rows go through one matrix product.  For a block, or a
+    sequence of two or more rows, that is a matrix-matrix kernel, and each
+    column of a block rounds as that column does alone.  A one-row sequence
+    takes a vector-matrix kernel, which can round differently in the last
+    bits from the same column of a (1, dim, m) block.
+    """
+    rows = np.moveaxis(coords, 1, -1)
+    term = (rows.reshape(-1, coords.shape[1]) @ mat).reshape(rows.shape)
+    return np.moveaxis(term, -1, 1)
 
 
 def _as_block_map(tree, A):
@@ -401,14 +425,15 @@ def _apply_symbol_map_adjoint(S: ShiftOperator, basis: SeparatedBasis,
                               z: np.ndarray) -> np.ndarray:
     """Adjoint of _apply_symbol_map, back to coefficients over V_{<=d}: the model's
     coefficient pass with S*, exactly zero where the forward walk drops, the
-    correlation with phi, its Horner walk with L*."""
+    correlation with phi, its Horner walk with L*.  z is one vector (n,) or a
+    block (n, m) of column vectors."""
     ys = _coeff_array(S, basis, z, phi.length + d - 1, _adjoint_array)
-    cprime = np.zeros((d + 1, basis.dim), dtype=np.complex128)
+    cprime = np.zeros((d + 1, basis.dim) + z.shape[1:], dtype=np.complex128)
     for k in range(phi.length):
         if isinstance(phi, ScalarSymbol):
             cprime += np.conj(phi.coeffs[k]) * ys[k:k + d + 1]
         else:
-            cprime += ys[k:k + d + 1] @ phi.mats[k].conj()
+            cprime += _dim_axis_product(ys[k:k + d + 1], phi.mats[k].conj())
     walk = _layer_array(S, basis, cprime, lambda x: _left_inverse_adjoint_array(S, x))
     return walk[:_prefix_size(S.tree, d)]
 

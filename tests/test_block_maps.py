@@ -8,6 +8,8 @@ residuals of the per-trial loop they replace.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,8 +139,21 @@ def test_law_trials_in_reused_buffers_match_the_loop(dim, trials):
     assert np.array_equal(mul.convolve(a, b).mats, _cauchy_loop(a.mats, b.mats))
 
 
+def test_law_trials_hold_25_dense_matrices():
+    # a, b, c 9, unit 1, pair 6, one 7, two 1, tmp 1: the draws run through
+    # `one`, and a * (b * c) is taken one index at a time
+    dim = 120
+    tracemalloc.start()
+    try:
+        mul._convolution_law_trials(dim, stable_rng(0, "mult-algebra"), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25.5 * 16 * dim * dim
+
+
 def test_law_trials_refuse_above_the_memory_budget(monkeypatch):
-    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 36 * 8 * 8)
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 25 * 8 * 8)
     mul._convolution_law_trials(8, stable_rng(0, "budget"), 1)
     with pytest.raises(DepthTooLargeForMemory, match="kernel dimension 9"):
         mul._convolution_law_trials(9, stable_rng(0, "budget"), 1)

@@ -134,6 +134,13 @@ def test_convolve_dimension_mismatch():
         ts.convolve(a, b)
 
 
+def test_empty_operator_symbol_is_refused():
+    # the Cauchy product writes each index's first term straight into its
+    # output, so an empty factor would leave nothing to write
+    with pytest.raises(DimensionMismatch, match="length >= 1"):
+        ts.OpSymbol(np.zeros((0, 2, 2)))
+
+
 def test_convolve_with_coeffs_kernel_vector(t2_shift):
     # convolving against a kernel vector's coefficients reads off the symbol
     S, basis = t2_shift
@@ -547,6 +554,33 @@ def test_power_path_maps_are_adjoint():
             assert _where_dropped_mass(S, basis, phi, d, x) > 0.0
             az = _apply_symbol_map_adjoint(S, basis, phi, d, z)
             assert abs(np.vdot(z, ax) - np.vdot(az, x)) < 1e-12
+
+
+def test_symbol_map_adjoint_takes_blocks():
+    from treeshift.multiplier import _apply_symbol_map, _apply_symbol_map_adjoint
+
+    tree, weights = ts.generate_example("T2", 10, [0.5])
+    S = ts.ShiftOperator(tree, weights)
+    t2 = (S, ts.separated_kernel_basis(S), ts.ScalarSymbol(np.array([1, 0.5])))
+    rng = stable_rng(4, "adjoint-blocks")
+    for S, basis, phi in (t2, *_power_path_cases()):
+        n = S.tree.n_vertices
+        for d in range(S.tree.depth + 1):
+            n_in = _prefix_size(S.tree, d)
+            x = rng.standard_normal((n_in, 3)) + 1j * rng.standard_normal((n_in, 3))
+            z = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+            x /= np.linalg.norm(x, axis=0)
+            z /= np.linalg.norm(z, axis=0)
+            az = _apply_symbol_map_adjoint(S, basis, phi, d, z)
+            ax = _apply_symbol_map(S, basis, phi, d, x)
+            assert az.shape == (n_in, 3)
+            for t in range(3):
+                want = _apply_symbol_map_adjoint(S, basis, phi, d, np.ascontiguousarray(z[:, t]))
+                if isinstance(phi, ts.ScalarSymbol):
+                    assert np.array_equal(az[:, t], want)
+                else:
+                    assert np.linalg.norm(az[:, t] - want) <= 1e-13 * np.linalg.norm(want)
+                assert abs(np.vdot(z[:, t], ax[:, t]) - np.vdot(az[:, t], x[:, t])) < 1e-12
 
 
 def _loop_symbol_map_adjoint(S, basis, phi, d, z):

@@ -7,6 +7,8 @@ the same order and must reproduce the loop's residual bit for bit.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -316,15 +318,25 @@ def test_scalar_equivalence_block_matches_per_vector_loop(t2_shift):
 
 
 def test_convolve_block_matches_per_sequence_at_dimension_37():
+    # From two rows on, a sequence and a block both take a matrix-matrix
+    # kernel and agree bit for bit.  A one-row sequence takes a vector-matrix
+    # kernel, which can round differently from the column of a block.
     rng = stable_rng(23, "convolve-blocks")
     for dim in (2, 37, 120):
         phi = _random_op(rng, 3, dim)
-        for m in (1, 2, 9):
-            block = rng.standard_normal((6, dim, m)) + 1j * rng.standard_normal((6, dim, m))
-            out = mul._convolve_array(phi, block)
-            for t in range(m):
-                seq = ts.CoeffSeq(coords=np.ascontiguousarray(block[:, :, t]), exact_to=5)
-                assert np.array_equal(out[:, :, t], ts.convolve_with_coeffs(phi, seq).coords)
+        for length in (1, 2, 6):
+            for m in (1, 2, 9):
+                shape = (length, dim, m)
+                block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                out = mul._convolve_array(phi, block)
+                for t in range(m):
+                    seq = ts.CoeffSeq(coords=np.ascontiguousarray(block[:, :, t]),
+                                      exact_to=length - 1)
+                    want = ts.convolve_with_coeffs(phi, seq).coords
+                    if length > 1:
+                        assert np.array_equal(out[:, :, t], want)
+                    else:
+                        assert np.allclose(out[:, :, t], want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -493,6 +505,23 @@ def test_ratio_bounds_block_matches_per_direction_loop(monkeypatch):
     S, basis = cases[2]
     monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 3 * S.tree.n_vertices)
     assert ts.ratio_bounds_check(S, basis) == _ratio_bounds_loop(S, basis)
+
+
+def test_ratio_bounds_walk_wide_kernels_in_small_chunks(monkeypatch):
+    # T4 at depth 3: 4,032 of its 4,096 kernel columns are read only at step 0
+    S, basis = _shift_and_basis(*ts.generate_example("T4", 3, []))
+    peaks, reports = [], []
+    for width in (bal.RATIO_CHUNK_COLUMNS, basis.dim):
+        monkeypatch.setattr(bal, "RATIO_CHUNK_COLUMNS", width)
+        tracemalloc.start()
+        try:
+            reports.append(ts.ratio_bounds_check(S, basis))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert reports[0] == reports[1]
+    # 5.4 MB against 47 MB in chunks of the whole dense budget (480 columns)
+    assert peaks[0] <= 8 * 2**20 < peaks[1]
 
 
 def test_ratio_bounds_shift_the_kernel_block_once_per_generation(monkeypatch):
