@@ -572,10 +572,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"cannot write tree spec to {args.out}: {exc.strerror}") from exc
             return 0
         if args.command == "inspect":
-            if args.tree:
-                tree, weights = tr.build_tree(tr.load_tree_spec(args.tree))
-            else:
-                tree, weights = _example_tree(args.example or "T2", args.depth, args.alpha)
+            [(_, tree, weights)] = _default_trees(RunConfig(
+                tree_path=args.tree, example=args.example or "T2", alpha=args.alpha,
+                depth=args.depth))
             S = sh.ShiftOperator(tree, weights)
             basis = sh.separated_kernel_basis(S)
             balanced, witness = sh.is_balanced(S)

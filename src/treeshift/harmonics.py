@@ -61,9 +61,8 @@ def _rotate_array(tree, x: np.ndarray, w: complex) -> np.ndarray:
     """rotate_vector for a vector x (n,) or a block x (n, m) of column vectors."""
     _require_unimodular(w)
     out = x.copy()
-    for g, gen in enumerate(tree.generations):
-        lo = tree.index[gen[0]]
-        out[lo:lo + len(gen)] *= w ** g
+    for g, (lo, hi) in enumerate(zip(tree.offsets, tree.offsets[1:])):
+        out[lo:hi] *= w ** g
     return out
 
 

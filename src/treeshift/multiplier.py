@@ -274,7 +274,7 @@ def _unit_column_walk(tree, amap, shift=None) -> tuple[int, float]:
     """The generation raise of the block map A and, given the shift as a block
     map, the Frobenius norm of AS - SA (else 0.0), from one walk over the unit
     columns that maps each block of them, and its shift, through A once."""
-    gens = np.repeat(np.arange(tree.depth + 1), [len(g) for g in tree.generations])
+    gens = np.repeat(np.arange(tree.depth + 1), np.diff(tree.offsets))
     raises, sq = [], 0.0
     for start, cols in _unit_columns(tree):
         image = amap(cols)
@@ -463,7 +463,7 @@ def _unit_dropped_mass(S: ShiftOperator, basis: SeparatedBasis,
     sq = np.zeros((length + d, n_in))
     if isinstance(phi, ScalarSymbol):
         q = 1.0 - np.append(0.0, S._wvec ** 2 / ns)
-        gen = np.repeat(np.arange(d + 1), [len(g) for g in tree.generations[:d + 1]])
+        gen = np.repeat(np.arange(d + 1), np.diff(tree.offsets[:d + 2]))
         weight = np.abs(phi.coeffs[:, None]) ** 2 * (np.arange(length)[:, None] > tree.depth - gen)
         for m in range(d + 1):
             sq[m:m + length] += weight * (rho[m] ** 2 * q[anc[m]])

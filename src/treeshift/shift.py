@@ -138,7 +138,7 @@ class ShiftOperator:
         self._ns = ns
         # No vertex above the last generation is a leaf, so these vertices, a
         # prefix of the breadth-first order, are exactly those with ns > 0.
-        k = self._n_internal = n - len(tree.generations[tree.depth])
+        k = self._n_internal = tree.offsets[tree.depth]
         self.norm_squares = dict(zip(tree.vertices[:k], ns[:k].tolist()))
         self.lower_bound = float(np.sqrt(ns[:k].min())) if k else 0.0
 
@@ -281,8 +281,7 @@ class SeparatedBasis:
         # Running-sum and v_t coefficients stay apart: combining them changes the rounding.
         self._coef = np.append(0.0, lam[kids] / norm)
         self._diag = np.append(1.0, -lam_sq[1:] / norm)
-        ends = np.cumsum([len(g) for g in self.tree.generations])
-        self.gen_index = np.searchsorted(ends, self._pos, side="right")
+        self.gen_index = np.searchsorted(self.tree.offsets[1:], self._pos, side="right")
 
     @property
     def dim(self) -> int:
@@ -367,7 +366,7 @@ def is_balanced(S: ShiftOperator) -> tuple[bool, tuple[VertexId, VertexId] | Non
     if S._n_internal == 0:
         return True, None
     norms = np.sqrt(S._ns[:S._n_internal])
-    starts = np.cumsum([0] + [len(gen) for gen in tree.generations[:-2]])
+    starts = tree.offsets[:-2]
     spread = np.maximum.reduceat(norms, starts) - np.minimum.reduceat(norms, starts)
     bad = np.flatnonzero(spread > BALANCED_TOL)
     if bad.size == 0:

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from itertools import accumulate, count, repeat
+from typing import Hashable, Iterable, Sequence
 
+from ._util import stable_rng
 from .errors import (
     BadParams,
     DepthTooLargeForMemory,
@@ -41,7 +43,8 @@ class Tree:
 
     Vertices are enumerated breadth first (by generation, then insertion order);
     `index` maps a vertex to its position in that enumeration and `generation`
-    gives its distance from the root.
+    gives its distance from the root.  Generation g occupies positions
+    offsets[g] to offsets[g + 1] - 1 of that enumeration; offsets[-1] is n.
     """
 
     def __init__(self, root: VertexId, children: dict[VertexId, Sequence[VertexId]],
@@ -87,6 +90,7 @@ class Tree:
                     f"vertex {u!r} at generation {g} has no children above the truncation depth")
 
         self.generations: tuple[tuple[VertexId, ...], ...] = tuple(map(tuple, generations))
+        self.offsets: tuple[int, ...] = tuple(accumulate(map(len, generations), initial=0))
         self.vertices: tuple[VertexId, ...] = tuple(v for gen in generations for v in gen)
         self.index: dict[VertexId, int] = {v: i for i, v in enumerate(self.vertices)}
         self.generation: dict[VertexId, int] = gen_of
@@ -98,7 +102,7 @@ class Tree:
 
 def _prefix_size(tree: Tree, depth: int) -> int:
     """Number of vertices in V_{<=depth}, a prefix of the breadth-first order."""
-    return sum(len(g) for g in tree.generations[:max(0, depth + 1)])
+    return tree.offsets[min(max(0, depth + 1), tree.depth + 1)]
 
 
 def _usable_weight(w: float) -> bool:
@@ -107,21 +111,20 @@ def _usable_weight(w: float) -> bool:
 
 
 class WeightMap:
-    """Positive finite weights on all non-root vertices of a tree."""
+    """Positive finite weights on all non-root vertices of a tree: the one place
+    where a weight is checked, since every tree's weights pass through here."""
 
     def __init__(self, tree: Tree, weights: dict[VertexId, float]) -> None:
-        for v in tree.vertices:
-            if v == tree.root:
-                continue
+        # tree.parent holds the non-root vertices in breadth-first order
+        for v, u in tree.parent.items():
             w = weights.get(v)
             if w is None:
                 raise MalformedSpec(f"missing weight for vertex {v!r}")
             if not _usable_weight(w):
-                raise NonpositiveWeight(f"weight at {v!r} is {w!r}; a weight and its square "
-                                        "must be positive and finite")
+                raise NonpositiveWeight(f"weight on edge {u!r} -> {v!r} is {w!r}; a weight "
+                                        "and its square must be positive and finite")
         self.tree = tree
-        self.values: dict[VertexId, float] = {
-            v: float(weights[v]) for v in tree.vertices if v != tree.root}
+        self.values: dict[VertexId, float] = {v: float(weights[v]) for v in tree.parent}
 
     def __getitem__(self, v: VertexId) -> float:
         return self.values[v]
@@ -139,8 +142,9 @@ def build_tree(spec: TreeSpec) -> tuple[Tree, WeightMap]:
     """Validate a tree specification and assemble the tree plus its weight map.
 
     Rejects unhashable vertex labels, duplicate edges, vertices with several
-    parents, cycles, interior leaves, vertices beyond the stated depth, and
-    weights that are not positive or whose square is not finite.
+    parents, cycles, interior leaves and vertices beyond the stated depth; then
+    the weight map rejects weights that are not positive or whose square is not
+    finite, so a structural error wins over a bad weight.
     """
     children: dict[VertexId, list[VertexId]] = {}
     weights: dict[VertexId, float] = {}
@@ -154,27 +158,36 @@ def build_tree(spec: TreeSpec) -> tuple[Tree, WeightMap]:
         seen.add((u, v))
         if v == spec.root:
             raise MalformedSpec("root cannot have a parent")
-        if not _usable_weight(w):
-            raise NonpositiveWeight(
-                f"weight on edge {u!r} -> {v!r} is {w!r}; a weight and its square "
-                "must be positive and finite")
         children.setdefault(u, []).append(v)
         children.setdefault(v, [])
-        weights[v] = float(w)
+        weights[v] = w
     if spec.root not in children and spec.edges:
         raise MalformedSpec("root does not appear in any edge")
     tree = Tree(spec.root, children, spec.depth)
     return tree, WeightMap(tree, weights)
 
 
+def _json_number(value, kinds: tuple[type, ...], what: str):
+    """value if json decoded it as one of kinds (int, float; a boolean is neither)."""
+    if type(value) not in kinds:
+        kind = "number" if float in kinds else "integer"
+        raise TypeError(f"{what} {value!r} is not a JSON {kind}")
+    return value
+
+
 def load_tree_spec(path: str) -> TreeSpec:
-    """Read the JSON tree-spec format: {"depth", "root", "edges": [{from,to,weight}]}."""
+    """Read the JSON tree-spec format: {"depth", "root", "edges": [{from,to,weight}]}.
+
+    The depth must be a JSON integer and each weight a JSON number that fits
+    a float; booleans and strings are refused, as is any overflow."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        edges = tuple((e["from"], e["to"], float(e["weight"])) for e in raw["edges"])
-        return TreeSpec(depth=int(raw["depth"]), root=raw["root"], edges=edges)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        depth = _json_number(raw["depth"], (int,), "depth")
+        edges = tuple((e["from"], e["to"], float(_json_number(e["weight"], (int, float), "weight")))
+                      for e in raw["edges"])
+        return TreeSpec(depth=depth, root=raw["root"], edges=edges)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise MalformedSpec(f"bad tree-spec file {path}: {exc}") from exc
 
 
@@ -241,32 +254,12 @@ def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tup
     if key == "T4":
         if params:
             raise BadParams("T4 takes no parameters")
-        children = {}
-        weights = {}
-        for m in range(depth + 1):
-            width = 2 ** (m * (m + 1))
-            fanout = 2 ** (2 * m + 2)
-            for n in range(width):
-                if m < depth:
-                    kids = [(m + 1, k) for k in range(n * fanout, (n + 1) * fanout)]
-                else:
-                    kids = []
-                children[(m, n)] = kids
-                if m > 0:
-                    weights[(m, n)] = 2.0 ** (-m)
-        tree = Tree((0, 0), children, depth)
-        return tree, WeightMap(tree, weights)
+        return _layered_tree(depth, (repeat([2.0 ** -(m + 1)] * 4 ** (m + 1)) for m in count()))
 
     if key == "UNILATERAL":
         if len(params) != depth:
             raise BadParams(f"UNILATERAL needs {depth} weights, got {len(params)}")
-        if any(not (w > 0) for w in params):
-            raise NonpositiveWeight("chain weights must be positive")
-        children = {(k, 0): [(k + 1, 0)] for k in range(depth)}
-        children[(depth, 0)] = []
-        weights = {(k + 1, 0): float(params[k]) for k in range(depth)}
-        tree = Tree((0, 0), children, depth)
-        return tree, WeightMap(tree, weights)
+        return _layered_tree(depth, ([[float(w)]] for w in params))
 
     raise UnknownExample(f"no example named {name!r}")
 
@@ -279,8 +272,6 @@ def balanced_double_ray(depth: int, generation_norms: Sequence[float]) -> tuple[
         raise BadParams("balanced_double_ray needs depth >= 1")
     if len(generation_norms) < depth:
         raise BadParams(f"need {depth} generation norms, got {len(generation_norms)}")
-    if any(not (c > 0) for c in generation_norms):
-        raise NonpositiveWeight("generation norms must be positive")
     c = [float(x) for x in generation_norms]
     ray = [c[0] / 2 ** 0.5] + c[1:depth]
     return _double_ray(depth, ray, ray)
@@ -300,6 +291,26 @@ def _double_ray(depth: int, first: Sequence[float],
     return tree, WeightMap(tree, weights)
 
 
+def _layered_tree(depth: int,
+                  layers: Iterable[Iterable[Sequence[float]]]) -> tuple[Tree, WeightMap]:
+    """The tree of the given depth labelled (generation, index), built one
+    generation at a time: the g-th entry of layers yields, for each vertex of
+    generation g in order, the edge weights of its children, so their number is
+    its fanout.  An entry is read only as far as its generation is wide."""
+    children: dict[VertexId, list[VertexId]] = {}
+    weights: dict[VertexId, float] = {}
+    frontier = [(0, 0)]
+    for g, layer in zip(range(depth), layers):
+        nxt: list[VertexId] = []
+        for u, ws in zip(frontier, layer):
+            children[u] = kids = [(g + 1, len(nxt) + t) for t in range(len(ws))]
+            weights.update(zip(kids, ws))
+            nxt += kids
+        frontier = nxt
+    tree = Tree((0, 0), children, depth)
+    return tree, WeightMap(tree, weights)
+
+
 # Odds of 1, 2 and 3 children per vertex in generate_random_tree, and the
 # range its edge weights are drawn from.
 _BRANCHING_ODDS = (0.55, 0.3, 0.15)
@@ -313,8 +324,6 @@ def generate_random_tree(depth: int, max_branching: int, seed: int) -> tuple[Tre
     the vertex count stays at desk scale; deterministic for a fixed seed.
     max_branching runs from 1 to 3, the length of the odds table.
     """
-    from ._util import stable_rng
-
     if not 1 <= max_branching <= len(_BRANCHING_ODDS):
         raise BadParams(f"max_branching must be between 1 and {len(_BRANCHING_ODDS)}")
     rng = stable_rng(seed, "random-tree")
@@ -322,22 +331,7 @@ def generate_random_tree(depth: int, max_branching: int, seed: int) -> tuple[Tre
     probs = _BRANCHING_ODDS[:max_branching]
     probs = [p / sum(probs) for p in probs]
     lo, hi = _RANDOM_WEIGHT_RANGE
-    children: dict[VertexId, list[VertexId]] = {}
-    weights: dict[VertexId, float] = {}
-    frontier = [(0, 0)]
-    for g in range(depth):
-        nxt: list[VertexId] = []
-        idx = 0
-        for u in frontier:
-            k = int(rng.choice(counts, p=probs))
-            kids = [(g + 1, idx + t) for t in range(k)]
-            idx += k
-            children[u] = kids
-            for v in kids:
-                weights[v] = float(rng.uniform(lo, hi))
-            nxt.extend(kids)
-        frontier = nxt
-    for u in frontier:
-        children[u] = []
-    tree = Tree((0, 0), children, depth)
-    return tree, WeightMap(tree, weights)
+    # one stream for every generation: each vertex draws its branching, then its children's weights
+    draws = ([float(rng.uniform(lo, hi)) for _ in range(int(rng.choice(counts, p=probs)))]
+             for _ in count())
+    return _layered_tree(depth, repeat(draws))

@@ -207,6 +207,27 @@ def test_cli_rejects_infinite_weight(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["run", "inspect"])
+@pytest.mark.parametrize("depth, weight", [
+    ("1.7", "1.0"), ("true", "1.0"), ('"1"', "1.0"), ("1e400", "1.0"),
+    ("1", '"2"'), ("1", "true"), ("1", "1" + "0" * 400)],
+    ids=["depth-float", "depth-bool", "depth-string", "depth-overflow",
+         "weight-string", "weight-bool", "weight-overflow"])
+def test_cli_refuses_spec_fields_of_the_wrong_json_type(command, depth, weight, tmp_path, capsys):
+    # a depth must be a JSON integer and a weight a JSON number; an overflow is
+    # malformed too, so the run ends in one error line and exit code 2
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"depth": %s, "root": "r", "edges": [{"from": "r", "to": "a", "weight": %s}]}'
+                    % (depth, weight))
+    suite = ["--suite", "core-identities"] if command == "run" else []
+    rc = main([command, "--tree", str(spec), *suite])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "bad tree-spec file" in lines[0]
+
+
 def test_cli_rejects_unhashable_label(tmp_path, capsys):
     spec = tmp_path / "list-root.json"
     spec.write_text(json.dumps({"depth": 1, "root": ["r"], "edges": [

@@ -1,5 +1,6 @@
-"""Source hygiene that no linter checks here: every import a module makes is used,
-and every module-level private name is referenced somewhere in the package."""
+"""Source hygiene that no linter checks here: every import a module makes is used
+and sits in the module body, and every module-level private name is referenced
+somewhere in the package."""
 
 from __future__ import annotations
 
@@ -49,6 +50,25 @@ def test_every_import_is_used(path):
     unused = {name: line for name, line in _imported_names(tree, source.splitlines()).items()
               if name not in _used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def nested_imports(tree: ast.Module) -> list[int]:
+    """Line of each import that is not a statement of the module body."""
+    top = {id(stmt) for stmt in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+@pytest.mark.parametrize("path", sorted(Path(ts.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_sit_in_the_module_body(path):
+    lines = nested_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} imports inside a function or block at lines {lines}"
+
+
+def test_nested_import_is_caught():
+    source = "import math\n\ndef f():\n    from os import path\n    return path\n"
+    assert nested_imports(ast.parse(source)) == [4]
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import treeshift as ts
+from treeshift._util import stable_rng
 from treeshift.errors import (
     BadParams,
     DepthTooLargeForMemory,
@@ -11,6 +14,7 @@ from treeshift.errors import (
     NonpositiveWeight,
     UnknownExample,
 )
+from treeshift.tree import _prefix_size
 
 
 def test_build_chain_spec():
@@ -179,3 +183,139 @@ def test_random_tree_reproducible():
     b = ts.generate_random_tree(6, 3, 42)
     assert a[0].vertices == b[0].vertices
     assert all(a[1][v] == b[1][v] for v in a[0].vertices if v != a[0].root)
+
+
+# The generators' own child loops from before the layered builder, kept as
+# oracles: every generated tree must serialize to the same spec.
+
+def oracle_t4(depth):
+    children, weights = {}, {}
+    for m in range(depth + 1):
+        fanout = 2 ** (2 * m + 2)
+        for n in range(2 ** (m * (m + 1))):
+            kids = [(m + 1, k) for k in range(n * fanout, (n + 1) * fanout)] if m < depth else []
+            children[(m, n)] = kids
+            if m > 0:
+                weights[(m, n)] = 2.0 ** (-m)
+    tree = ts.Tree((0, 0), children, depth)
+    return tree, ts.WeightMap(tree, weights)
+
+
+def oracle_unilateral(params):
+    depth = len(params)
+    children = {(k, 0): [(k + 1, 0)] for k in range(depth)}
+    children[(depth, 0)] = []
+    tree = ts.Tree((0, 0), children, depth)
+    return tree, ts.WeightMap(tree, {(k + 1, 0): float(params[k]) for k in range(depth)})
+
+
+def oracle_random_tree(depth, max_branching, seed):
+    rng = stable_rng(seed, "random-tree")
+    counts = list(range(1, max_branching + 1))
+    probs = [0.55, 0.3, 0.15][:max_branching]
+    probs = [p / sum(probs) for p in probs]
+    children, weights = {}, {}
+    frontier = [(0, 0)]
+    for g in range(depth):
+        nxt, idx = [], 0
+        for u in frontier:
+            k = int(rng.choice(counts, p=probs))
+            kids = [(g + 1, idx + t) for t in range(k)]
+            idx += k
+            children[u] = kids
+            for v in kids:
+                weights[v] = float(rng.uniform(0.5, 2.0))
+            nxt.extend(kids)
+        frontier = nxt
+    for u in frontier:
+        children[u] = []
+    tree = ts.Tree((0, 0), children, depth)
+    return tree, ts.WeightMap(tree, weights)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_t4_matches_oracle(depth):
+    assert ts.tree_to_spec(*ts.generate_example("T4", depth)) == ts.tree_to_spec(*oracle_t4(depth))
+
+
+def test_unilateral_matches_oracle():
+    params = [0.5, 2.0, 3.0, 0.7, 1.25]
+    got = ts.tree_to_spec(*ts.generate_example("UNILATERAL", len(params), params))
+    assert got == ts.tree_to_spec(*oracle_unilateral(params))
+
+
+@pytest.mark.parametrize("depth, max_branching", [(4, 1), (6, 3), (8, 2), (10, 3)])
+def test_random_tree_matches_oracle(depth, max_branching):
+    for seed in range(50):
+        got = ts.tree_to_spec(*ts.generate_random_tree(depth, max_branching, seed))
+        assert got == ts.tree_to_spec(*oracle_random_tree(depth, max_branching, seed)), seed
+
+
+@pytest.mark.parametrize("build", [
+    lambda d: ts.generate_example("T4", d),
+    lambda d: ts.generate_random_tree(d, 2, 0),
+    lambda d: ts.generate_random_tree(d, 3, 5),
+])
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_negative_depth_is_malformed(build, depth):
+    with pytest.raises(MalformedSpec, match="nonnegative"):
+        build(depth)
+
+
+@pytest.mark.parametrize("build, edge", [
+    (lambda: ts.generate_example("UNILATERAL", 3, [1.0, float("nan"), 1.0]), "(1, 0) -> (2, 0)"),
+    (lambda: ts.generate_example("UNILATERAL", 3, [-1.0, 1.0, 1.0]), "(0, 0) -> (1, 0)"),
+    (lambda: ts.balanced_double_ray(3, [1.0, float("nan"), 1.0]), "(1, 1) -> (1, 2)"),
+    (lambda: ts.balanced_double_ray(3, [-1.0, 1.0, 1.0]), "(0, 0) -> (1, 1)"),
+    (lambda: ts.balanced_double_ray(3, [1.0, 1.0, 0.0]), "(1, 2) -> (1, 3)"),
+])
+def test_generator_weights_are_checked_by_the_weight_map(build, edge):
+    with pytest.raises(NonpositiveWeight, match=f"weight on edge {re.escape(edge)} is"):
+        build()
+
+
+def test_build_reports_structure_before_weights():
+    # b lies beyond depth 1 and the edge into a has a bad weight: the tree is
+    # checked first, then its weights
+    spec = ts.TreeSpec(depth=1, root="r", edges=(("r", "a", -1.0), ("a", "b", 1.0)))
+    with pytest.raises(MalformedSpec, match="exceeds truncation depth"):
+        ts.build_tree(spec)
+    with pytest.raises(NonpositiveWeight, match="weight on edge 'r' -> 'a' is -1.0"):
+        ts.build_tree(ts.TreeSpec(depth=1, root="r", edges=(("r", "a", -1.0),)))
+
+
+def test_offsets_and_prefix_sizes(t2, t4_depth2):
+    trees = [t2[0], t4_depth2[0], ts.generate_random_tree(8, 3, 4)[0],
+             ts.generate_example("UNILATERAL", 0)[0]]
+    for tree in trees:
+        sizes = [len(g) for g in tree.generations]
+        assert tree.offsets == tuple(np.cumsum([0] + sizes).tolist())
+        assert tree.offsets[-1] == tree.n_vertices
+        for d in range(-2, tree.depth + 3):
+            assert _prefix_size(tree, d) == sum(sizes[:max(0, d + 1)])
+
+
+def _write_spec(path, depth, weight):
+    path.write_text('{"depth": %s, "root": "r", "edges": [{"from": "r", "to": "a", "weight": %s}]}'
+                    % (depth, weight))
+    return str(path)
+
+
+# JSON texts that the tree-spec reader refuses: a depth that is not an integer
+# and weights that are not numbers, or that overflow a float
+BAD_SPEC_FIELDS = [("1.7", "1.0"), ("true", "1.0"), ('"1"', "1.0"), ("1e400", "1.0"),
+                   ("1", '"2"'), ("1", "true"), ("1", "1" + "0" * 400)]
+BAD_SPEC_IDS = ["depth-float", "depth-bool", "depth-string", "depth-overflow",
+                "weight-string", "weight-bool", "weight-overflow"]
+
+
+@pytest.mark.parametrize("depth, weight", BAD_SPEC_FIELDS, ids=BAD_SPEC_IDS)
+def test_load_tree_spec_refuses_wrong_json_types(tmp_path, depth, weight):
+    with pytest.raises(MalformedSpec, match="bad tree-spec file"):
+        ts.load_tree_spec(_write_spec(tmp_path / "spec.json", depth, weight))
+
+
+def test_load_tree_spec_reads_integer_weights(tmp_path):
+    spec = ts.load_tree_spec(_write_spec(tmp_path / "spec.json", "1", "2"))
+    assert spec.depth == 1 and spec.edges == (("r", "a", 2.0),)
+    assert type(spec.edges[0][2]) is float
