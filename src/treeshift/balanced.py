@@ -15,6 +15,7 @@ import numpy as np
 
 from ._util import (
     block_width,
+    check_dense_entries,
     dense_spectral_norm,
     fit_log_slope,
     require_nonnegative,
@@ -227,6 +228,9 @@ def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
     if max(truncs) > min(beta1.length, beta2.length):
         raise PreconditionFailed(
             f"beta sequences shorter than truncation {max(truncs)}")
+    check_dense_entries(max(truncs) ** 2, f"the weighted Toeplitz matrix at truncation "
+                        f"{max(truncs)} needs {max(truncs) ** 2:,} dense entries, "
+                        "above the memory budget")
     if xs is None:
         xs = [float(np.log2(t)) for t in truncs]
     elif len(xs) != len(truncs):

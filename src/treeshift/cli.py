@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import multiplier as mul
 from . import shift as sh
 from . import tree as tr
 from ._util import stable_rng, trial_norms, worst_of
-from .errors import BadParams, ConfigError, DepthTooLargeForMemory, TreeShiftError
+from .errors import ConfigError, DepthTooLargeForMemory, TreeShiftError
 
 TOL_ALG = 1e-12
 TOL_POWER = 1e-10
@@ -79,10 +79,6 @@ class RunConfig:
     suites: tuple[str, ...] = SUITES
     seed: int = 0
     out: str | None = None
-    # The tree battery with each tree's shift and basis, built by the first
-    # suite that needs it; run() works on a copy of the config, so no two runs
-    # share one.
-    _battery: list | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -171,18 +167,38 @@ def _default_trees(config: RunConfig):
     return out
 
 
-def _trees(config: RunConfig):
-    """(label, S, basis) for each tree of _default_trees(config), built once per
-    config; a failed build is retried."""
-    if config._battery is None:
-        shifts = [(label, sh.ShiftOperator(tree, weights))
-                  for label, tree, weights in _default_trees(config)]
-        config._battery = [(label, S, sh.separated_kernel_basis(S)) for label, S in shifts]
-    return config._battery
+def _with_bases(trees):
+    """(label, S, basis) for each (label, tree, weights)."""
+    shifts = [(label, sh.ShiftOperator(tree, weights)) for label, tree, weights in trees]
+    return [(label, S, sh.separated_kernel_basis(S)) for label, S in shifts]
 
 
-def _suite_core_identities(config: RunConfig, records: list[Record]) -> None:
-    for label, S, basis in _trees(config):
+def _battery(config: RunConfig, requested: set[str]) -> dict[str, list]:
+    """Suite name -> the (label, S, basis) it runs on, for each requested suite,
+    all built before any suite runs.  core-identities and shimorin run on
+    _default_trees(config), multiplier-algebra and harmonics on its first tree,
+    example-t2 on the two-ray tree and balanced on a balanced double ray.  A
+    --tree file is loaded and checked even when no requested suite reads it.
+    A tree that cannot be built is a ConfigError with the builder's message."""
+    trees = {}
+    try:
+        if config.tree_path or requested - {"example-t2", "balanced"}:
+            battery = _with_bases(_default_trees(config))
+            trees = {"core-identities": battery, "shimorin": battery,
+                     "multiplier-algebra": battery[:1], "harmonics": battery[:1]}
+        if "example-t2" in requested:
+            trees["example-t2"] = _with_bases([(
+                "two-ray", *_example_tree("T2", max(config.depth, 14), config.alpha))])
+        if "balanced" in requested:
+            norms = [1.0 + 1.0 / (m + 1) for m in range(20)]
+            trees["balanced"] = _with_bases([("balanced", *tr.balanced_double_ray(20, norms))])
+    except TreeShiftError as exc:
+        raise ConfigError(f"cannot build the trees of this run: {exc}") from exc
+    return trees
+
+
+def _suite_core_identities(config: RunConfig, trees: list, records: list[Record]) -> None:
+    for label, S, basis in trees:
         tree = S.tree
         rng = stable_rng(config.seed, f"core-{label}")
         worst_lt = worst_pe = worst_ker = worst_adj = worst_gram = 0.0
@@ -216,8 +232,8 @@ def _suite_core_identities(config: RunConfig, records: list[Record]) -> None:
                                    exactness_depth=tree.depth, tree=label))
 
 
-def _suite_shimorin(config: RunConfig, records: list[Record]) -> None:
-    for label, S, basis in _trees(config):
+def _suite_shimorin(config: RunConfig, trees: list, records: list[Record]) -> None:
+    for label, S, basis in trees:
         tree = S.tree
         rng = stable_rng(config.seed, f"shimorin-{label}")
         fs = sh._random_block(tree, tree.depth, [rng] * 10)
@@ -241,8 +257,8 @@ def _suite_shimorin(config: RunConfig, records: list[Record]) -> None:
                                tol=rep.tail_bound, tree=label, tail_bound=rep.tail_bound))
 
 
-def _suite_multiplier_algebra(config: RunConfig, records: list[Record]) -> None:
-    label, S, basis = _trees(config)[0]
+def _suite_multiplier_algebra(config: RunConfig, trees: list, records: list[Record]) -> None:
+    [(label, S, basis)] = trees
     tree = S.tree
     rng = stable_rng(config.seed, "mult-algebra")
     worst_unit, worst_assoc, worst_comm = mul._convolution_law_trials(basis.dim, rng, 25)
@@ -295,12 +311,9 @@ def _root_projection(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _suite_example_t2(config: RunConfig, records: list[Record]) -> None:
-    alpha = config.alpha
-    depth = max(config.depth, 14)
-    tree, weights = _example_tree("T2", depth, alpha)
-    S = sh.ShiftOperator(tree, weights)
-    basis = sh.separated_kernel_basis(S)
+def _suite_example_t2(config: RunConfig, trees: list, records: list[Record]) -> None:
+    [(_, S, basis)] = trees
+    tree, depth, alpha = S.tree, S.tree.depth, config.alpha
     scale = float(np.sqrt(alpha ** 2 + 1.0))
     expected = sh.L2Vector.from_dict(tree, {(1, 1): alpha / scale, (2, 1): -1.0 / scale})
     got = basis.vector(1)
@@ -356,8 +369,8 @@ def _two_ray_projection(tree, fs, n, alpha):
     return out
 
 
-def _suite_harmonics(config: RunConfig, records: list[Record]) -> None:
-    label, S, basis = _trees(config)[0]
+def _suite_harmonics(config: RunConfig, trees: list, records: list[Record]) -> None:
+    [(label, S, basis)] = trees
     tree = S.tree
     rng = stable_rng(config.seed, "harmonics")
     w = np.exp(1j * 0.7)
@@ -399,12 +412,9 @@ def _suite_harmonics(config: RunConfig, records: list[Record]) -> None:
                            max(rep.full_norm_estimate, 1e-30), tree=label))
 
 
-def _suite_balanced(config: RunConfig, records: list[Record]) -> None:
-    depth = 20
-    norms = [1.0 + 1.0 / (m + 1) for m in range(depth)]
-    tree, weights = tr.balanced_double_ray(depth, norms)
-    S = sh.ShiftOperator(tree, weights)
-    basis = sh.separated_kernel_basis(S)
+def _suite_balanced(config: RunConfig, trees: list, records: list[Record]) -> None:
+    [(_, S, basis)] = trees
+    tree, depth = S.tree, S.tree.depth
     rng = stable_rng(config.seed, "balanced")
     worst_pair = 0.0
     for _ in range(25):
@@ -457,11 +467,6 @@ _SUITE_FUNCS = {
 }
 
 
-# Suites that run on _default_trees, whose battery holds T2 unless a tree
-# file or another example replaces it.
-_DEFAULT_TREE_SUITES = ("core-identities", "shimorin", "multiplier-algebra", "harmonics")
-
-
 def run(config: RunConfig) -> Report:
     """Execute the configured suites and assemble the deterministic report."""
     unknown = [s for s in config.suites if s != "all" and s not in _SUITE_FUNCS]
@@ -475,22 +480,13 @@ def run(config: RunConfig) -> Report:
                           f"choose one of {', '.join(tr.EXAMPLES)}")
     if not math.isfinite(config.alpha):
         raise ConfigError(f"alpha must be finite, got {config.alpha!r}")
-    builds_t2 = "example-t2" in requested or (
-        not config.tree_path and (config.example or "T2").upper() == "T2"
-        and any(s in requested for s in _DEFAULT_TREE_SUITES))
-    if builds_t2:
-        try:
-            _example_tree("T2", 1, config.alpha)
-        except BadParams as exc:
-            raise ConfigError(f"alpha {config.alpha!r} cannot build the T2 tree: {exc}") from exc
-
-    config = replace(config)
+    trees = _battery(config, requested)
 
     def call(name: str) -> list[Record]:
         """The suite's records; a typed error ends them with a suite execution record."""
         records = []
         try:
-            _SUITE_FUNCS[name](config, records)
+            _SUITE_FUNCS[name](config, trees[name], records)
             return records
         except MemoryError as exc:
             error = DepthTooLargeForMemory(f"out of memory: {exc}")
@@ -498,12 +494,6 @@ def run(config: RunConfig) -> Report:
             error = exc
         return records + [Record(name=name, law="suite execution", status="fail",
                                  witness=f"{type(error).__name__}: {error}")]
-
-    if config.tree_path:
-        try:
-            _trees(config)
-        except TreeShiftError as exc:
-            raise ConfigError(f"cannot use tree source {config.tree_path}: {exc}") from exc
 
     ordered = sorted(requested, key=SUITES.index)
     records = [rec for name in ordered for rec in call(name)]
@@ -572,11 +562,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"cannot write tree spec to {args.out}: {exc.strerror}") from exc
             return 0
         if args.command == "inspect":
-            [(_, tree, weights)] = _default_trees(RunConfig(
+            [(_, S, basis)] = _with_bases(_default_trees(RunConfig(
                 tree_path=args.tree, example=args.example or "T2", alpha=args.alpha,
-                depth=args.depth))
-            S = sh.ShiftOperator(tree, weights)
-            basis = sh.separated_kernel_basis(S)
+                depth=args.depth)))
+            tree = S.tree
             balanced, witness = sh.is_balanced(S)
             info = {
                 "vertices": tree.n_vertices,

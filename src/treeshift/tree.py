@@ -112,19 +112,25 @@ def _usable_weight(w: float) -> bool:
 
 class WeightMap:
     """Positive finite weights on all non-root vertices of a tree: the one place
-    where a weight is checked, since every tree's weights pass through here."""
+    where a weight is checked and made a float, since every tree's weights pass
+    through here."""
 
     def __init__(self, tree: Tree, weights: dict[VertexId, float]) -> None:
+        self.tree = tree
+        self.values: dict[VertexId, float] = {}
         # tree.parent holds the non-root vertices in breadth-first order
         for v, u in tree.parent.items():
             w = weights.get(v)
             if w is None:
                 raise MalformedSpec(f"missing weight for vertex {v!r}")
-            if not _usable_weight(w):
+            try:
+                self.values[v] = float(w)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise NonpositiveWeight(
+                    f"weight on edge {u!r} -> {v!r} does not convert to a float: {exc}") from None
+            if not _usable_weight(self.values[v]):
                 raise NonpositiveWeight(f"weight on edge {u!r} -> {v!r} is {w!r}; a weight "
                                         "and its square must be positive and finite")
-        self.tree = tree
-        self.values: dict[VertexId, float] = {v: float(weights[v]) for v in tree.parent}
 
     def __getitem__(self, v: VertexId) -> float:
         return self.values[v]
@@ -259,7 +265,7 @@ def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tup
     if key == "UNILATERAL":
         if len(params) != depth:
             raise BadParams(f"UNILATERAL needs {depth} weights, got {len(params)}")
-        return _layered_tree(depth, ([[float(w)]] for w in params))
+        return _layered_tree(depth, ([[w]] for w in params))
 
     raise UnknownExample(f"no example named {name!r}")
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import treeshift as ts
+from treeshift import _util
 from treeshift import balanced as bal
 from treeshift._util import stable_rng
 from treeshift.errors import (
+    DepthTooLargeForMemory,
     DimensionMismatch,
     NotBalanced,
     PreconditionFailed,
@@ -324,6 +326,25 @@ def test_hinf_membership_refuses_xs_of_another_length(monkeypatch):
     with pytest.raises(PreconditionFailed, match="1 x-coordinates for 2 truncations"):
         ts.hinf_membership(ts.ScalarSymbol(np.array([1.0, 0.5])), beta, beta, 8,
                            truncs=[4, 8], xs=[1.0])
+
+
+def test_hinf_membership_honours_the_memory_budget(monkeypatch):
+    def no_norm(*args):
+        raise AssertionError("a norm was computed before the budget was checked")
+
+    beta = ts.BetaWeights(np.ones(64))
+    geom = ts.ScalarSymbol(0.5 ** np.arange(64))
+    # the grid 16, 32, 64 needs 64^2 entries at its largest truncation
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 64 ** 2)
+    assert ts.hinf_membership(geom, beta, beta, 64).verdict == ts.BOUNDED
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 64 ** 2 - 1)
+    monkeypatch.setattr(bal, "weighted_toeplitz_norm", no_norm)
+    with pytest.raises(DepthTooLargeForMemory, match="truncation 64 needs 4,096 dense entries"):
+        ts.hinf_membership(geom, beta, beta, 64)
+    # an explicit grid is judged by its largest truncation, wherever it sits
+    monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", 48 ** 2 - 1)
+    with pytest.raises(DepthTooLargeForMemory, match="truncation 48 needs 2,304"):
+        ts.hinf_membership(geom, beta, beta, 64, truncs=[48, 16])
 
 
 def test_beta_from_orbit_refuses_a_negative_length(double_ray):

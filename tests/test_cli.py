@@ -163,11 +163,16 @@ def test_cli_error_exit_code(tmp_path):
     ["--alpha", "0", "--suite", "core-identities"],
     ["--alpha", "1", "--example", "t2", "--suite", "harmonics"],
     ["--alpha", "1.5", "--example", "T4", "--suite", "example-t2"],
+    # alpha whose square underflows: a weight S*S cannot hold
+    ["--alpha", "1e-200", "--suite", "example-t2"],
+    # trees above the vertex cap, refused from their depth
+    ["--example", "T4", "--depth", "4"],
+    ["--depth", "3000000"],
 ])
 def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch, tmp_path):
     ran = []
     monkeypatch.setattr(cli, "_SUITE_FUNCS", {
-        name: (lambda config, records, name=name: ran.append(name)) for name in SUITES})
+        name: (lambda config, trees, records, name=name: ran.append(name)) for name in SUITES})
     out = tmp_path / "report.jsonl"
     rc = main(["run", *args, "--out", str(out)])
     assert rc == 2
@@ -181,14 +186,14 @@ def test_cli_rejects_bad_config_before_any_suite(args, capsys, monkeypatch, tmp_
 
 @pytest.mark.parametrize("args, suites", [
     (["--suite", "balanced"], ["balanced"]),
-    (["--example", "T4", "--suite", "core-identities", "--suite", "harmonics"],
+    (["--example", "T4", "--depth", "2", "--suite", "core-identities", "--suite", "harmonics"],
      ["core-identities", "harmonics"]),
     (["--example", "UNILATERAL", "--suite", "shimorin"], ["shimorin"]),
 ])
 def test_cli_alpha_outside_unit_interval_without_t2(args, suites, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "_SUITE_FUNCS", {
-        name: (lambda config, records, name=name: ran.append(name)) for name in SUITES})
+        name: (lambda config, trees, records, name=name: ran.append(name)) for name in SUITES})
     assert main(["run", "--alpha", "1.5", *args]) == 0
     assert ran == suites
     assert capsys.readouterr().err == ""
@@ -368,7 +373,7 @@ def test_example_projection_carries_the_left_iterate(monkeypatch):
 
 
 def test_memory_error_becomes_a_typed_record(monkeypatch):
-    def exhausted(config, records):
+    def exhausted(config, trees, records):
         records.append(cli._record("convolution-unit", residual=0.0, tol=cli.TOL_ALG))
         raise MemoryError("Unable to allocate 1.00 GiB for an array")
 
@@ -442,19 +447,23 @@ def test_oversized_example_is_refused_before_it_is_built(example, monkeypatch):
     params = {"T2": [0.5], "T4": [], "UNILATERAL": [1.0] * 50}[example]
     with pytest.raises(DepthTooLargeForMemory, match=f"{example} at depth 50 holds"):
         generate(example, 50, params)
-    [rec] = run(RunConfig(example=example, depth=50, suites=("core-identities",))).records
-    assert rec.witness.startswith(f"DepthTooLargeForMemory: {example} at depth 50 holds")
+    with pytest.raises(ConfigError, match=f"{example} at depth 50 holds"):
+        run(RunConfig(example=example, depth=50, suites=("core-identities",)))
     # neither the tree nor, through the CLI, the example's parameters were built
     assert 50 not in builds and 50 not in made
 
 
-def test_failed_battery_fails_each_suite_that_needs_it():
-    report = run(RunConfig(example="T4", depth=4,
-                           suites=("core-identities", "harmonics", "balanced")))
-    names = [r.name for r in report.records if r.law == "suite execution"]
-    assert names == ["core-identities", "harmonics"]
-    assert all(r.witness.startswith("DepthTooLargeForMemory: T4 at depth 4")
-               for r in report.records if r.law == "suite execution")
+def test_failed_battery_is_refused_before_any_suite(monkeypatch):
+    ran = []
+    for name, func in list(cli._SUITE_FUNCS.items()):
+        monkeypatch.setitem(cli._SUITE_FUNCS, name, lambda config, trees, records, name=name,
+                            func=func: ran.append(name) or func(config, trees, records))
+    with pytest.raises(ConfigError, match="T4 at depth 4 holds 1052741 vertices"):
+        run(RunConfig(example="T4", depth=4, suites=("core-identities", "harmonics", "balanced")))
+    assert ran == []
+    # a run whose suites do not read the default trees never builds them
+    assert main(["run", "--example", "T4", "--depth", "4", "--suite", "balanced"]) == 0
+    assert ran == ["balanced"]
 
 
 def test_library_does_not_import_scipy():

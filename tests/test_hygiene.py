@@ -127,3 +127,41 @@ def test_unreferenced_private_name_is_caught(tmp_path):
         "def _orphan(x):\n    return _orphan(x - 1) if x else _used()\n")
     (tmp_path / "b.py").write_text("from .a import _used\n\nVALUE = _used()\n")
     assert unreferenced_private_names(tmp_path) == ["a._orphan"]
+
+
+# What builds a tree, its shift or its basis.  cli._battery builds every tree
+# the suites run on, so no `_suite_*` function calls one of these.
+TREE_BUILDERS = {"ShiftOperator", "separated_kernel_basis", "generate_example",
+                 "balanced_double_ray", "build_tree", "load_tree_spec", "_example_tree"}
+
+
+def suite_tree_builds(tree: ast.Module) -> list[str]:
+    """`suite: builder` for each call a module-level `_suite_*` function makes
+    to one of TREE_BUILDERS, by plain or attribute name."""
+    out = []
+    for stmt in tree.body:
+        if not (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_suite_")):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in TREE_BUILDERS:
+                    out.append(f"{stmt.name}: {name}")
+    return out
+
+
+def test_suites_build_no_trees():
+    path = Path(ts.__file__).resolve().parent / "cli.py"
+    builds = suite_tree_builds(ast.parse(path.read_text(encoding="utf-8")))
+    assert not builds, f"suites that build their own trees instead of reading the battery: {builds}"
+
+
+def test_suite_tree_build_is_caught():
+    source = ("def _battery(config):\n    return tr.build_tree(config)\n\n"
+              "def _suite_a(config, trees, records):\n"
+              "    S = sh.ShiftOperator(*tr.balanced_double_ray(3, [1.0] * 3))\n"
+              "    return sh.separated_kernel_basis(S)\n\n"
+              "def _suite_b(config, trees, records):\n    return _example_tree('T2', 3, 0.5)\n")
+    assert sorted(suite_tree_builds(ast.parse(source))) == [
+        "_suite_a: ShiftOperator", "_suite_a: balanced_double_ray",
+        "_suite_a: separated_kernel_basis", "_suite_b: _example_tree"]

@@ -274,6 +274,20 @@ def test_generator_weights_are_checked_by_the_weight_map(build, edge):
         build()
 
 
+@pytest.mark.parametrize("build, edge", [
+    (lambda: ts.build_tree(ts.TreeSpec(1, "r", (("r", "a", 10 ** 400),))), "'r' -> 'a'"),
+    (lambda: ts.build_tree(ts.TreeSpec(1, "r", (("r", "a", "heavy"),))), "'r' -> 'a'"),
+    (lambda: ts.build_tree(ts.TreeSpec(1, "r", (("r", "a", 1j),))), "'r' -> 'a'"),
+    (lambda: ts.generate_example("UNILATERAL", 1, ["x"]), "(0, 0) -> (1, 0)"),
+    (lambda: ts.generate_example("UNILATERAL", 2, [1.0, 10 ** 400]), "(1, 0) -> (2, 0)"),
+], ids=["overflow", "string", "complex", "unilateral-string", "unilateral-overflow"])
+def test_weight_that_is_not_a_float_is_a_nonpositive_weight(build, edge):
+    # the weight map makes each weight a float; what does not convert is refused, typed
+    with pytest.raises(NonpositiveWeight,
+                       match=f"weight on edge {re.escape(edge)} does not convert to a float"):
+        build()
+
+
 def test_build_reports_structure_before_weights():
     # b lies beyond depth 1 and the edge into a has a bad weight: the tree is
     # checked first, then its weights

@@ -341,9 +341,8 @@ def test_convolve_block_matches_per_sequence_at_dimension_37():
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_example1_projection_block_matches_per_vector_loop(seed):
-    config = cli.RunConfig(seed=seed)
-    records = []
-    cli._suite_example_t2(config, records)
+    config = cli.RunConfig(seed=seed, suites=("example-t2",))
+    records = cli.run(config).records
     assert _record(records, "example1-projection").residual == _example1_projection_loop(config)
 
 
@@ -352,11 +351,10 @@ def _rotation_case(tmp_path, tree_args, **config):
         spec = tmp_path / "random.json"
         ts.save_tree_spec(ts.tree_to_spec(*ts.generate_random_tree(*tree_args)), str(spec))
         config["tree_path"] = str(spec)
-    config = cli.RunConfig(**config)
+    config = cli.RunConfig(suites=("harmonics",), **config)
     _, tree, weights = cli._default_trees(config)[0]
     S, basis = _shift_and_basis(tree, weights)
-    records = []
-    cli._suite_harmonics(config, records)
+    records = cli.run(config).records
     got = (_record(records, "rotation-norm").residual,
            _record(records, "rotation-coefficients").residual)
     return got, _rotation_loop(S, basis, config.seed)
@@ -376,8 +374,7 @@ def test_rotation_block_matches_per_vector_loop(tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_wold_parseval_block_matches_per_vector_loop(seed):
-    records = []
-    cli._suite_balanced(cli.RunConfig(seed=seed), records)
+    records = cli.run(cli.RunConfig(seed=seed, suites=("balanced",))).records
     assert _record(records, "wold-parseval").residual == _wold_parseval_loop(seed)
 
 
