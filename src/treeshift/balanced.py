@@ -179,13 +179,26 @@ def _layer_norms(S: ShiftOperator, parts: np.ndarray) -> list[list[float]]:
     return [norms[t::m] for t in range(m)]
 
 
+def _check_truncations(truncs: list[int], beta1: np.ndarray, beta2: np.ndarray) -> None:
+    """PreconditionFailed unless every truncation is at least 1 and both betas reach
+    the largest; DepthTooLargeForMemory when its square passes the memory budget."""
+    if min(truncs) < 1:
+        raise PreconditionFailed(f"truncations must be at least 1, got {truncs}")
+    t = max(truncs)
+    if t > min(len(beta1), len(beta2)):
+        raise PreconditionFailed(f"beta sequences shorter than truncation {t}")
+    check_dense_entries(t * t, f"the weighted Toeplitz matrix at truncation {t} needs "
+                               f"{t * t:,} dense entries, above the memory budget")
+
+
 def weighted_toeplitz_norm(a: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
                            trunc: int) -> float:
     """Largest singular value of the weighted lower-triangular convolution matrix.
 
     Entry (n, m) is a[n-m] sqrt(beta2[n]/beta1[m]) for n >= m, the compression
-    of b -> a*b between the weighted coordinate charts.
+    of b -> a*b between the weighted coordinate charts, once _check_truncations passes.
     """
+    _check_truncations([trunc], beta1, beta2)
     t = trunc
     # Row n of the reversed windows reads padded[t - 1 + n - m] at column m:
     # a[n - m] on and below the diagonal, 0 above, with no copy.
@@ -206,14 +219,12 @@ def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
     truncations up to trunc; the slope defaults to a fit against log2 of the
     truncation (one unit per doubling, matching the per-depth calibration).
     Explicit truncation lists and x-coordinates support aligned comparisons;
-    xs needs one entry per truncation.  A symbol entry that is not finite
-    raises PreconditionFailed.
+    xs needs one entry per truncation, and trunc is not read.  A symbol entry
+    that is not finite, or a grid that _check_truncations refuses, raises
+    before any norm is computed.
     """
     if truncs is not None and not truncs:
         raise PreconditionFailed("the truncation grid is empty, so there is no norm to judge")
-    if min([trunc, *(truncs or [])]) < 1:
-        raise PreconditionFailed(
-            f"truncations must be at least 1, got trunc={trunc}, truncs={truncs}")
     _require_finite(a)
     if truncs is None:
         # compressions below 16 coefficients barely see the symbol and their
@@ -225,12 +236,7 @@ def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,
             truncs.append(t)
             t *= 2
         truncs.append(trunc)
-    if max(truncs) > min(beta1.length, beta2.length):
-        raise PreconditionFailed(
-            f"beta sequences shorter than truncation {max(truncs)}")
-    check_dense_entries(max(truncs) ** 2, f"the weighted Toeplitz matrix at truncation "
-                        f"{max(truncs)} needs {max(truncs) ** 2:,} dense entries, "
-                        "above the memory budget")
+    _check_truncations(truncs, beta1.beta, beta2.beta)
     if xs is None:
         xs = [float(np.log2(t)) for t in truncs]
     elif len(xs) != len(truncs):

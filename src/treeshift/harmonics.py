@@ -143,11 +143,11 @@ def cesaro_convergence_experiment(S: ShiftOperator, basis: SeparatedBasis,
     rows: list[ConvergenceRow] = []
     norm_estimates: dict[int, float] = {}
     work_depth = max(1, min(f_depth, max(4, tree.depth // 2)))
-    full_norm, _ = compressed_multiplication_norm(S, basis, scal, work_depth, seed=seed)
+    full_norm = compressed_multiplication_norm(S, basis, scal, work_depth, seed=seed)
     targets = apply_symbol(scal)
     for order in orders:
         sym_n = fejer_truncate(fejer_symbol(order), scal)
-        norm_estimates[order], _ = compressed_multiplication_norm(
+        norm_estimates[order] = compressed_multiplication_norm(
             S, basis, sym_n, work_depth, seed=seed)
         rows += [ConvergenceRow(order=order, vector_id=vid, error=e)
                  for vid, e in enumerate(trial_norms(apply_symbol(sym_n) - targets))]

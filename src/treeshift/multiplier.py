@@ -52,6 +52,15 @@ COMMUTE_TOL = 1e-10
 WITNESS_STRIDE = 3
 
 
+def _complex_entries(values) -> np.ndarray:
+    """values as a complex array, or PreconditionFailed.  NaN and infinite entries
+    convert: _require_finite refuses them where a check uses the symbol."""
+    try:
+        return np.asarray(values, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionFailed(f"symbol entries do not convert to complex: {exc}") from None
+
+
 @dataclass
 class ScalarSymbol:
     """Finite complex coefficient sequence, zero-extended beyond its length."""
@@ -59,7 +68,7 @@ class ScalarSymbol:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
+        self.coeffs = _complex_entries(self.coeffs)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise DimensionMismatch("scalar symbol needs a nonempty 1-d coefficient list")
 
@@ -76,7 +85,7 @@ class OpSymbol:
     exact_to: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        self.mats = np.asarray(self.mats, dtype=np.complex128)
+        self.mats = _complex_entries(self.mats)
         if self.mats.ndim != 3 or self.mats.shape[1] != self.mats.shape[2] or not len(self.mats):
             raise DimensionMismatch("operator symbol needs shape (length, d, d), length >= 1")
 
@@ -397,7 +406,6 @@ class MembershipReport:
     slope: float
     verdict: str
     low_confidence: bool = False
-    dropped_mass: float = 0.0
 
 
 def _apply_symbol_map(S: ShiftOperator, basis: SeparatedBasis,
@@ -443,43 +451,6 @@ def _is_dense(tree, d: int) -> bool:
     return tree.n_vertices * _prefix_size(tree, d) <= 400_000
 
 
-def _unit_dropped_mass(S: ShiftOperator, basis: SeparatedBasis,
-                       phi: ScalarSymbol | OpSymbol, d: int) -> np.ndarray:
-    """Mass dropped from the image of each unit vector e_v of V_{<=d}, by gathers.
-
-    Coefficient m of e_v is rho_m(v) times the coordinates of e_{par^m v}, and
-    symbol index k drops it exactly when k > depth - |v|.  A scalar symbol
-    keeps the orders in distinct generations, so only ||P_E e_u||^2 = 1 -
-    lambda_u^2 / ||S e_{par u}||^2 enters; an operator symbol is applied to
-    the coordinates of every unit vector.
-    """
-    tree, n_in, length = S.tree, _prefix_size(S.tree, d), phi.length
-    ns = S._ns[S._parent_idx]  # ||S e_{par v}||^2 for v > 0
-    par, ratio = np.append(0, S._parent_idx), np.append(0.0, S._wvec / ns)
-    anc, rho = [np.arange(n_in)], [np.ones(n_in)]
-    for _ in range(d):
-        rho.append(rho[-1] * ratio[anc[-1]])
-        anc.append(par[anc[-1]])
-    sq = np.zeros((length + d, n_in))
-    if isinstance(phi, ScalarSymbol):
-        q = 1.0 - np.append(0.0, S._wvec ** 2 / ns)
-        gen = np.repeat(np.arange(d + 1), np.diff(tree.offsets[:d + 2]))
-        weight = np.abs(phi.coeffs[:, None]) ** 2 * (np.arange(length)[:, None] > tree.depth - gen)
-        for m in range(d + 1):
-            sq[m:m + length] += weight * (rho[m] ** 2 * q[anc[m]])
-        return np.sqrt(sq).sum(axis=0)
-    # column u of H[k] is phi(k) times the coordinates of e_u; the H take
-    # about as much memory as phi itself
-    H = [basis._from_coords_array(mat.T).T for mat in phi.mats]
-    # orders below depth + 1 - max_generation drop nothing
-    for n in range(tree.depth + 1 - basis.max_generation, length + d):
-        over = basis.gen_index + n > tree.depth
-        acc = sum(rho[n - k] * H[k][over][:, anc[n - k]]
-                  for k in range(max(0, n - d), min(length, n + 1)))
-        sq[n] = (np.abs(acc) ** 2).sum(axis=0)
-    return np.sqrt(sq).sum(axis=0)
-
-
 def _compressed_norms(S: ShiftOperator, basis: SeparatedBasis,
                       phi: ScalarSymbol | OpSymbol, depths: list[int], seed: int) -> list[float]:
     """Norms of the compressed multiplication map on V_{<=d}, for each d of depths.
@@ -514,14 +485,10 @@ def _compressed_norms(S: ShiftOperator, basis: SeparatedBasis,
 
 def compressed_multiplication_norm(S: ShiftOperator, basis: SeparatedBasis,
                                    phi: ScalarSymbol | OpSymbol, d: int, *,
-                                   seed: int = 0) -> tuple[float, float]:
-    """Operator norm of the compressed multiplication map on V_{<=d}.
-
-    Returns (norm, dropped mass), the mass summed over the unit columns and
-    gathered from their coefficients without building their images.
-    """
+                                   seed: int = 0) -> float:
+    """Operator norm of the compressed multiplication map on V_{<=d}."""
     [norm] = _compressed_norms(S, basis, phi, [d], seed)
-    return norm, float(_unit_dropped_mass(S, basis, phi, d).sum())
+    return norm
 
 
 def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
@@ -532,22 +499,16 @@ def membership_diagnostic(S: ShiftOperator, basis: SeparatedBasis,
     Divergence is flagged when the least-squares slope of log-norm against
     depth exceeds SLOPE_THRESHOLD.  Grids shorter than eight depths are marked
     low confidence: the threshold is calibrated for depth ranges reaching 12.
-    The dropped mass is gathered once, at the deepest grid depth: each depth
-    sums the prefix of its unit columns.
     """
-    tree = S.tree
     depths = list(depths)
     if not depths:
         raise PreconditionFailed("the depth grid is empty, so there is no norm to judge")
     norms = _compressed_norms(S, basis, phi, depths, seed)
-    drops = _unit_dropped_mass(S, basis, phi, max(depths))
-    dropped_total = sum((float(drops[:_prefix_size(tree, d)].sum()) for d in depths), 0.0)
     slope = fit_log_slope(depths, norms)
     verdict = DIVERGENT if slope > SLOPE_THRESHOLD else BOUNDED
     return MembershipReport(
         depths=list(depths), norms=norms, slope=slope, verdict=verdict,
-        low_confidence=len(depths) < 8,
-        dropped_mass=dropped_total)
+        low_confidence=len(depths) < 8)
 
 
 def product_law_check(S: ShiftOperator, basis: SeparatedBasis,
@@ -584,12 +545,13 @@ def _scalar_mult_array(S: ShiftOperator, phi: ScalarSymbol, x: np.ndarray) -> np
 def _test_vector_depth(basis: SeparatedBasis, length: int) -> int:
     """Deepest generation a test vector may reach under a symbol of this length.
 
-    The image of f under the symbol runs length - 1 generations below f, and
-    its coefficients expand over kernel vectors as deep as max_generation, so
-    f needs length - 1 + max_generation generations of headroom for the image
-    to stay inside the truncation.  Negative when no vector has that headroom.
+    For f on V_{<=g}, L^n f lives on V_{<=g-n}, so c_n(f) reads only kernel
+    vectors of generation at most g - n, and layer m of phi * c(f) reaches at
+    most generation g + length - 1.  So f needs length - 1 generations of
+    headroom for the image to stay inside the truncation.  Negative when no
+    vector has that headroom.
     """
-    return basis.tree.depth - (length - 1) - basis.max_generation
+    return basis.tree.depth - (length - 1)
 
 
 def scalar_equivalence_check(S: ShiftOperator, basis: SeparatedBasis,

@@ -36,15 +36,16 @@ class L2Vector:
 
     @classmethod
     def basis(cls, tree: Tree, v: VertexId) -> "L2Vector":
-        out = cls.zero(tree)
-        out.data[tree.index[v]] = 1.0
-        return out
+        return cls.from_dict(tree, {v: 1.0})
 
     @classmethod
     def from_dict(cls, tree: Tree, entries: Mapping[VertexId, complex]) -> "L2Vector":
         out = cls.zero(tree)
-        for v, val in entries.items():
-            out.data[tree.index[v]] = val
+        try:
+            for v, val in entries.items():
+                out.data[tree.index[v]] = val
+        except KeyError:
+            raise PreconditionFailed(f"vertex {v!r} is not in the tree") from None
         return out
 
     @classmethod
@@ -64,7 +65,10 @@ class L2Vector:
         return out
 
     def __getitem__(self, v: VertexId) -> complex:
-        return complex(self.data[self.tree.index[v]])
+        try:
+            return complex(self.data[self.tree.index[v]])
+        except KeyError:
+            raise PreconditionFailed(f"vertex {v!r} is not in the tree") from None
 
     def __add__(self, other: "L2Vector") -> "L2Vector":
         return L2Vector(self.tree, self.data + other.data)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate, count, repeat
 from typing import Hashable, Iterable, Sequence
@@ -239,6 +240,22 @@ def _check_example_size(key: str, depth: int) -> None:
             f"{key} at depth {depth} holds {held} vertices (cap {MAX_VERTICES})")
 
 
+def _example_depth(depth) -> int:
+    """depth as an int; BadParams when it is not an integer."""
+    try:
+        return operator.index(depth)
+    except TypeError:
+        raise BadParams(f"depth must be an integer, got {depth!r}") from None
+
+
+def _example_floats(values: Sequence[float], what: str) -> list[float]:
+    """The parameters made floats once; BadParams when one does not convert."""
+    try:
+        return [float(x) for x in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"{what} do not convert to floats: {exc}") from None
+
+
 def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tuple[Tree, WeightMap]:
     """Build one of the named example trees.
 
@@ -249,13 +266,15 @@ def generate_example(name: str, depth: int, params: Sequence[float] = ()) -> tup
     UNILATERAL: a single path; params is the weight list (length = depth).
     """
     key = name.upper()
+    depth = _example_depth(depth)
     _check_example_size(key, depth)
     if key == "T2":
         if depth < 1:
             raise BadParams("T2 needs depth >= 1")
-        if len(params) != 1 or not (0 < params[0] < 1):
+        alpha = _example_floats(params, "T2's params")
+        if len(alpha) != 1 or not (0 < alpha[0] < 1):
             raise BadParams("T2 needs params=[alpha] with 0 < alpha < 1")
-        return _double_ray(depth, [1.0] * depth, [float(params[0])] * depth)
+        return _double_ray(depth, [1.0] * depth, alpha * depth)
 
     if key == "T4":
         if params:
@@ -274,11 +293,12 @@ def balanced_double_ray(depth: int, generation_norms: Sequence[float]) -> tuple[
     """Two rays branching at the root, weighted so every generation-m vertex u
     has ||S e_u|| equal to generation_norms[m].  Useful balanced non-isometry.
     """
+    depth = _example_depth(depth)
     if depth < 1:
         raise BadParams("balanced_double_ray needs depth >= 1")
     if len(generation_norms) < depth:
         raise BadParams(f"need {depth} generation norms, got {len(generation_norms)}")
-    c = [float(x) for x in generation_norms]
+    c = _example_floats(generation_norms, "generation norms")
     ray = [c[0] / 2 ** 0.5] + c[1:depth]
     return _double_ray(depth, ray, ray)
 

@@ -410,13 +410,15 @@ def test_tree_battery_is_built_once_per_run(tmp_path, monkeypatch):
 
 def test_a_typed_error_keeps_the_records_made_before_it(tmp_path):
     spec = tmp_path / "random.json"
-    tree, weights = ts.generate_random_tree(4, 3, 0)
+    # at depth 2, S^2 leaves commutant_check no room for a test vector
+    tree, weights = ts.generate_random_tree(2, 3, 0)
     ts.save_tree_spec(ts.tree_to_spec(tree, weights), str(spec))
     report = run(RunConfig(tree_path=str(spec), suites=("multiplier-algebra",)))
     assert [r.name for r in report.records] == [
         "convolution-unit", "convolution-associative", "scalar-commutative", "power-symbol",
-        "commutant-convolution", "noncommutant-rejected", "product-law", "multiplier-algebra"]
-    assert report.records[-1].witness == "PreconditionFailed: symbol too long for depth 4"
+        "multiplier-algebra"]
+    assert report.records[-1].witness == (
+        "PreconditionFailed: operator raises generations by 2; no room below depth 2")
     # power-symbol judges the kernel columns with room below the last generation
     power = report.records[3]
     basis = ts.separated_kernel_basis(ts.ShiftOperator(tree, weights))

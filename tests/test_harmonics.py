@@ -158,7 +158,7 @@ def _circle_integral_per_node(S, basis, phi, k, n_test_vectors=5, seed=0):
 
     tree = S.tree
     Q = phi.length + abs(k) + 1
-    margin = (phi.length - 1) + basis.max_generation
+    margin = phi.length - 1
     f_depth = max(0, tree.depth - margin)
     support = min(tree.depth, f_depth + margin)
     nodes = [np.exp(2j * np.pi * q / Q) for q in range(Q)]

@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 
 import treeshift as ts
 from treeshift._util import stable_rng
-from treeshift.errors import DimensionMismatch, NotInCommutant, PreconditionFailed
+from treeshift.errors import DimensionMismatch, Inconsistent, NotInCommutant, PreconditionFailed
 from treeshift.multiplier import _scalar_mult_array
 from treeshift.tree import _prefix_size
 
@@ -493,7 +493,7 @@ def _beyond_depth(basis, coords):
 def _where_dropped_mass(S, basis, phi, d, x):
     """Mass the truncation drops from the convolved coefficients of each column
     of x, a vector or block on V_{<=d}, as a masked norm summed over the
-    orders: the oracle for the gathered _unit_dropped_mass."""
+    orders.  A case whose oracle reads above zero drops mass."""
     from treeshift.model import _coeff_array
     from treeshift.multiplier import _convolve_array
 
@@ -506,7 +506,7 @@ def _where_dropped_mass(S, basis, phi, d, x):
 def test_compressed_map_matches_literal_reconstruct(t2_shift):
     # dual route: the diagnostic's map columns equal reconstruct applied to
     # the convolved coefficients of each unit vector
-    from treeshift.multiplier import _apply_symbol_map, _unit_dropped_mass
+    from treeshift.multiplier import _apply_symbol_map
 
     S, basis = t2_shift
     tree = S.tree
@@ -515,7 +515,6 @@ def test_compressed_map_matches_literal_reconstruct(t2_shift):
     units = _unit_block(tree, d)
     mat = _apply_symbol_map(S, basis, phi, d, units)
     assert np.all(_where_dropped_mass(S, basis, phi, d, units) == 0.0)
-    assert np.all(_unit_dropped_mass(S, basis, phi, d) == 0.0)
     for ci, v in enumerate(tree.vertices[:len(units)]):
         c = ts.analytic_coeffs(S, basis, ts.L2Vector.basis(tree, v), order=d)
         conv = ts.convolve_with_coeffs(phi, c)
@@ -663,52 +662,6 @@ def test_symbol_map_truncates_as_the_coefficient_mask():
                                       _masked_symbol_map(S, basis, phi, d, xs))
 
 
-def _dropped_mass_cases():
-    cases = list(_power_path_cases())
-    S, basis, _ = cases[1]
-    cases.append((S, basis, ts.ScalarSymbol(np.array([1, -0.5j, 0.25, 0.3]))))
-    return cases
-
-
-def test_power_path_dropped_mass_matches_dense(monkeypatch):
-    # both paths sum the mass dropped from each unit column; the all-ones image
-    # read 2.006 against 12.658 on the random tree's scalar case; the gather
-    # against the masked norm of each column's convolved coefficients
-    from treeshift import multiplier
-    from treeshift.multiplier import _unit_dropped_mass
-
-    d = 4
-    for S, basis, phi in _dropped_mass_cases():
-        want = _where_dropped_mass(S, basis, phi, d, _unit_block(S.tree, d)).sum()
-        assert want > 0.0
-        for depth in range(S.tree.depth + 1):
-            columns = _where_dropped_mass(S, basis, phi, depth, _unit_block(S.tree, depth))
-            got = _unit_dropped_mass(S, basis, phi, depth)
-            assert np.all(np.abs(got - columns) <= 1e-13 * columns)
-        _, got = ts.compressed_multiplication_norm(S, basis, phi, d)
-        assert abs(got - want) <= 1e-12 * want
-        with monkeypatch.context() as m:
-            m.setattr(multiplier, "_is_dense", lambda tree, d: False)
-            _, got = ts.compressed_multiplication_norm(S, basis, phi, d)
-        assert abs(got - want) <= 1e-12 * want
-
-
-def test_unit_dropped_mass_is_prefix_of_deeper_gather():
-    # membership_diagnostic gathers once, at the deepest grid depth, and sums
-    # each depth's column prefix: that is the gather at the depth, bit for bit
-    from treeshift.multiplier import _unit_dropped_mass
-
-    cases = [case[:3] for case in _membership_grid_cases()] + _dropped_mass_cases()
-    tree, weights = ts.generate_random_tree(10, 3, 14)
-    S = ts.ShiftOperator(tree, weights)
-    cases.append((S, ts.separated_kernel_basis(S), ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))))
-    for S, basis, phi in cases:
-        deepest = _unit_dropped_mass(S, basis, phi, S.tree.depth)
-        for d in range(S.tree.depth):
-            n_in = _prefix_size(S.tree, d)
-            assert np.array_equal(_unit_dropped_mass(S, basis, phi, d), deepest[:n_in])
-
-
 def test_power_path_norm_matches_dense():
     from treeshift._util import dense_spectral_norm, power_norm
     from treeshift.multiplier import _apply_symbol_map, _apply_symbol_map_adjoint
@@ -728,22 +681,17 @@ def test_power_path_norm_matches_dense():
 
 def test_compressed_map_matches_symbol_map_per_vector():
     # the block pass against the per-vector forward map, one unit vector at a
-    # time, for a scalar and an operator symbol that both drop mass; the
-    # gathered mass against each vector's masked coefficients
-    from treeshift.multiplier import _apply_symbol_map, _unit_dropped_mass
+    # time, for a scalar and an operator symbol that both drop mass
+    from treeshift.multiplier import _apply_symbol_map
 
     d = 4
     for S, basis, phi in _power_path_cases():
         units = _unit_block(S.tree, d)
         mat = _apply_symbol_map(S, basis, phi, d, units)
-        dropped = _unit_dropped_mass(S, basis, phi, d)
-        per_vector = np.zeros(len(units))
+        assert _where_dropped_mass(S, basis, phi, d, units).sum() > 0.0
         for ci, x in enumerate(units):
             image = _apply_symbol_map(S, basis, phi, d, x)
-            per_vector[ci] = _where_dropped_mass(S, basis, phi, d, x)
             assert np.linalg.norm(mat[:, ci] - image) <= 1e-13 * max(1.0, np.linalg.norm(image))
-        assert dropped.sum() > 0.0
-        assert np.all(np.abs(dropped - per_vector) <= 1e-13 * per_vector)
 
 
 def _per_depth_norms(S, basis, phi, depths, seed=0):
@@ -769,12 +717,10 @@ def test_membership_grid_matches_per_depth_norms():
     for S, basis, phi, max_depth in _membership_grid_cases():
         depths = list(range(1, max_depth + 1))
         rep = ts.membership_diagnostic(S, basis, phi, depths, seed=3)
-        want = _per_depth_norms(S, basis, phi, depths, seed=3)
-        assert rep.norms == [norm for norm, _ in want]
-        total = sum(dropped for _, dropped in want)
-        assert abs(rep.dropped_mass - total) <= 1e-12 * max(total, 1e-300)
+        assert rep.norms == _per_depth_norms(S, basis, phi, depths, seed=3)
     # the random operator symbol reaches past the last generation
-    assert rep.dropped_mass > 0.0
+    assert _where_dropped_mass(S, basis, phi, S.tree.depth,
+                               _unit_block(S.tree, S.tree.depth)).sum() > 0.0
 
 
 def test_membership_grid_mixes_dense_and_power_depths():
@@ -788,8 +734,7 @@ def test_membership_grid_mixes_dense_and_power_depths():
     basis = ts.separated_kernel_basis(S)
     phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
     rep = ts.membership_diagnostic(S, basis, phi, range(1, 11), seed=4)
-    want = _per_depth_norms(S, basis, phi, range(1, 11), seed=4)
-    assert rep.norms == [norm for norm, _ in want]
+    assert rep.norms == _per_depth_norms(S, basis, phi, range(1, 11), seed=4)
 
 
 def test_membership_grid_takes_any_depth_list(t2_shift):
@@ -798,7 +743,7 @@ def test_membership_grid_takes_any_depth_list(t2_shift):
     for depths in ([7, 2, 5, 2, 9], [4, 4], [3]):
         rep = ts.membership_diagnostic(S, basis, phi, depths)
         assert rep.depths == depths
-        assert rep.norms == [norm for norm, _ in _per_depth_norms(S, basis, phi, depths)]
+        assert rep.norms == _per_depth_norms(S, basis, phi, depths)
 
 
 def test_membership_empty_grid(t2_shift):
@@ -900,3 +845,28 @@ def test_product_law_check_rejects_nonfinite_symbols(t2_depth6):
 def test_indicator_symbol_refuses_a_negative_index():
     with pytest.raises(PreconditionFailed, match="index must be nonnegative, got -1"):
         ts.indicator_symbol(-1, 2)
+
+
+@pytest.mark.parametrize("tree_weights", [ts.generate_random_tree(6, 3, 17),
+                                          ts.generate_example("T4", 2, [])],
+                         ids=["random", "T4"])
+def test_test_vectors_get_the_sharp_headroom(tree_weights, monkeypatch):
+    # kernel vectors reach the last generation, yet length - 1 generations of
+    # headroom keep the image inside the truncation; one generation more does not
+    from treeshift import harmonics, multiplier
+
+    S = ts.ShiftOperator(*tree_weights)
+    basis = ts.separated_kernel_basis(S)
+    depth = S.tree.depth
+    assert basis.max_generation == depth
+    phi = ts.ScalarSymbol(np.array([1.0, 0.5, 0.25]))
+    rep = ts.scalar_equivalence_check(S, basis, phi, trials=10)
+    assert rep.exactness_depth == depth - 2 and rep.max_residual <= 1e-12
+    assert ts.circle_integral_check(S, basis, phi, 1) <= 1e-12
+    sharp = multiplier._test_vector_depth
+    for module in (multiplier, harmonics):
+        monkeypatch.setattr(module, "_test_vector_depth", lambda b, n: sharp(b, n) + 1)
+    with pytest.raises(Inconsistent):
+        ts.scalar_equivalence_check(S, basis, phi, trials=10)
+    with pytest.raises(Inconsistent):
+        ts.circle_integral_check(S, basis, phi, 1)

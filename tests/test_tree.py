@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import treeshift as ts
+from treeshift import _util
 from treeshift._util import stable_rng
 from treeshift.errors import (
     BadParams,
     DepthTooLargeForMemory,
     MalformedSpec,
     NonpositiveWeight,
+    PreconditionFailed,
+    TreeShiftError,
     UnknownExample,
 )
 from treeshift.tree import _prefix_size
@@ -333,3 +336,42 @@ def test_load_tree_spec_reads_integer_weights(tmp_path):
     spec = ts.load_tree_spec(_write_spec(tmp_path / "spec.json", "1", "2"))
     assert spec.depth == 1 and spec.edges == (("r", "a", 2.0),)
     assert type(spec.edges[0][2]) is float
+
+
+_T2_TREE = ts.generate_example("T2", 3, [0.5])[0]
+_RAMP, _ONES = 0.5 ** np.arange(8), np.ones(8)
+# (call, the memory budget it runs under or None, the error it must raise)
+TYPED_REFUSALS = {
+    "T2-alpha-string": (lambda: ts.generate_example("T2", 3, ["x"]), None, BadParams),
+    "T2-depth-float": (lambda: ts.generate_example("T2", 2.5, [0.5]), None, BadParams),
+    "ray-norm-string": (lambda: ts.balanced_double_ray(3, ["x", 1.0, 1.0]), None, BadParams),
+    "ray-norm-huge": (lambda: ts.balanced_double_ray(3, [10**400, 1.0, 1.0]), None, BadParams),
+    "ray-depth-float": (lambda: ts.balanced_double_ray(2.5, [1.0] * 3), None, BadParams),
+    "toeplitz-trunc-0": (lambda: ts.weighted_toeplitz_norm(_RAMP, _ONES, _ONES, 0), None,
+                         PreconditionFailed),
+    "toeplitz-trunc-negative": (lambda: ts.weighted_toeplitz_norm(_RAMP, _ONES, _ONES, -3),
+                                None, PreconditionFailed),
+    "toeplitz-trunc-past-beta": (lambda: ts.weighted_toeplitz_norm(_RAMP, _ONES, _ONES, 20),
+                                 None, PreconditionFailed),
+    "toeplitz-budget": (lambda: ts.weighted_toeplitz_norm(
+        0.5 ** np.arange(64), np.ones(64), np.ones(64), 64), 10, DepthTooLargeForMemory),
+    "scalar-symbol-string": (lambda: ts.ScalarSymbol(np.array(["a"])), None, PreconditionFailed),
+    "op-symbol-string": (lambda: ts.OpSymbol(np.array([[["a"]]])), None, PreconditionFailed),
+    "scalar-symbol-huge": (lambda: ts.ScalarSymbol([10**400]), None, PreconditionFailed),
+    "basis-unknown-vertex": (lambda: ts.L2Vector.basis(_T2_TREE, (9, 9)), None,
+                             PreconditionFailed),
+    "from-dict-unknown-vertex": (lambda: ts.L2Vector.from_dict(_T2_TREE, {(9, 9): 1.0}), None,
+                                 PreconditionFailed),
+    "getitem-unknown-vertex": (lambda: ts.L2Vector.zero(_T2_TREE)[(9, 9)], None,
+                               PreconditionFailed),
+}
+
+
+@pytest.mark.parametrize("name", TYPED_REFUSALS)
+def test_malformed_input_is_a_typed_error(name, monkeypatch):
+    call, budget, error = TYPED_REFUSALS[name]
+    if budget is not None:
+        monkeypatch.setattr(_util, "MAX_DENSE_ENTRIES", budget)
+    with pytest.raises(TreeShiftError) as caught:
+        call()
+    assert type(caught.value) is error
