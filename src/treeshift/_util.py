@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 
 import numpy as np
@@ -45,7 +46,9 @@ def check_dense_entries(entries: int, message: str) -> None:
 
 
 def require_nonnegative(name: str, value: int) -> None:
-    """Raise PreconditionFailed when an order, length or index is negative."""
+    """Raise PreconditionFailed unless an order, length or index is a nonnegative integer."""
+    if not isinstance(value, numbers.Integral):
+        raise PreconditionFailed(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise PreconditionFailed(f"{name} must be nonnegative, got {value}")
 
@@ -110,10 +113,21 @@ def power_norm(matvec, rmatvec, dim: int, *, iters: int = 120,
 
 
 def dense_spectral_norm(mat: np.ndarray) -> float:
-    """Exact largest singular value of a dense matrix."""
+    """Largest singular value of a dense matrix, as sqrt of the top eigenvalue of its Gram
+    matrix on the smaller side: real when no entry has an imaginary part, and formed after
+    scaling by the power of two that puts the largest |entry| in [0.5, 1), or in [2^-53,
+    0.5) when it is subnormal.  PreconditionFailed on an entry that is not finite."""
     if mat.size == 0:
         return 0.0
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        mat = mat.real
+    top = float(np.abs(mat).max())
+    if not math.isfinite(top):
+        raise PreconditionFailed(f"a dense norm needs finite entries, got {top}")
+    exp = max(math.frexp(top)[1], -1021)
+    a = mat * 2.0 ** -exp
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(gram)[-1]), exp))
 
 
 def fit_log_slope(xs, values) -> float:

@@ -180,8 +180,11 @@ def _layer_norms(S: ShiftOperator, parts: np.ndarray) -> list[list[float]]:
 
 
 def _check_truncations(truncs: list[int], beta1: np.ndarray, beta2: np.ndarray) -> None:
-    """PreconditionFailed unless every truncation is at least 1 and both betas reach
-    the largest; DepthTooLargeForMemory when its square passes the memory budget."""
+    """PreconditionFailed unless every truncation is an integer at least 1 and both
+    betas reach the largest; DepthTooLargeForMemory when its square passes the
+    memory budget."""
+    for t in truncs:
+        require_nonnegative("truncation", t)
     if min(truncs) < 1:
         raise PreconditionFailed(f"truncations must be at least 1, got {truncs}")
     t = max(truncs)
@@ -196,18 +199,20 @@ def weighted_toeplitz_norm(a: np.ndarray, beta1: np.ndarray, beta2: np.ndarray,
     """Largest singular value of the weighted lower-triangular convolution matrix.
 
     Entry (n, m) is a[n-m] sqrt(beta2[n]/beta1[m]) for n >= m, the compression
-    of b -> a*b between the weighted coordinate charts, once _check_truncations passes.
+    of b -> a*b between the weighted coordinate charts, once _check_truncations passes,
+    every entry of a is finite and both betas are finite and positive up to trunc.
     """
     _check_truncations([trunc], beta1, beta2)
     t = trunc
-    # Row n of the reversed windows reads padded[t - 1 + n - m] at column m:
+    _require_finite(ScalarSymbol(a))
+    beta1, beta2 = BetaWeights(beta1[:t]).beta, BetaWeights(beta2[:t]).beta
+    # Row n of the strided windows reads padded[t - 1 + n - m] at column m:
     # a[n - m] on and below the diagonal, 0 above, with no copy.
     padded = np.zeros(2 * t - 1, dtype=np.complex128)
     padded[t - 1:t - 1 + min(len(a), t)] = a[:t]
-    mat = np.zeros((t, t), dtype=np.complex128)
-    np.sqrt(np.divide.outer(beta2[:t], beta1[:t], out=mat.real), out=mat.real)
-    mat *= np.lib.stride_tricks.sliding_window_view(padded, t)[:, ::-1]
-    return dense_spectral_norm(mat)
+    step = padded.itemsize
+    windows = np.ndarray((t, t), padded.dtype, padded, (t - 1) * step, (step, -step))
+    return dense_spectral_norm(np.sqrt(np.divide.outer(beta2, beta1)) * windows)
 
 
 def hinf_membership(a: ScalarSymbol, beta1: BetaWeights, beta2: BetaWeights,

@@ -36,16 +36,15 @@ class L2Vector:
 
     @classmethod
     def basis(cls, tree: Tree, v: VertexId) -> "L2Vector":
-        return cls.from_dict(tree, {v: 1.0})
+        out = cls.zero(tree)
+        out.data[_vertex_index(tree, v)] = 1.0
+        return out
 
     @classmethod
     def from_dict(cls, tree: Tree, entries: Mapping[VertexId, complex]) -> "L2Vector":
         out = cls.zero(tree)
-        try:
-            for v, val in entries.items():
-                out.data[tree.index[v]] = val
-        except KeyError:
-            raise PreconditionFailed(f"vertex {v!r} is not in the tree") from None
+        for v, val in entries.items():
+            out.data[_vertex_index(tree, v)] = val
         return out
 
     @classmethod
@@ -65,10 +64,7 @@ class L2Vector:
         return out
 
     def __getitem__(self, v: VertexId) -> complex:
-        try:
-            return complex(self.data[self.tree.index[v]])
-        except KeyError:
-            raise PreconditionFailed(f"vertex {v!r} is not in the tree") from None
+        return complex(self.data[_vertex_index(self.tree, v)])
 
     def __add__(self, other: "L2Vector") -> "L2Vector":
         return L2Vector(self.tree, self.data + other.data)
@@ -102,6 +98,15 @@ class L2Vector:
 
     def copy(self) -> "L2Vector":
         return L2Vector(self.tree, self.data.copy())
+
+
+def _vertex_index(tree: Tree, v: VertexId) -> int:
+    """Position of v in the tree's vertex order; PreconditionFailed when v is not a
+    vertex, including when it is not hashable."""
+    try:
+        return tree.index[v]
+    except (KeyError, TypeError):
+        raise PreconditionFailed(f"vertex {v!r} is not in the tree") from None
 
 
 def _random_block(tree: Tree, max_generation: int,

@@ -11,6 +11,7 @@ from treeshift._util import stable_rng
 from treeshift.errors import (
     BadParams,
     DepthTooLargeForMemory,
+    DimensionMismatch,
     MalformedSpec,
     NonpositiveWeight,
     PreconditionFailed,
@@ -355,11 +356,26 @@ TYPED_REFUSALS = {
                                  None, PreconditionFailed),
     "toeplitz-budget": (lambda: ts.weighted_toeplitz_norm(
         0.5 ** np.arange(64), np.ones(64), np.ones(64), 64), 10, DepthTooLargeForMemory),
+    "toeplitz-trunc-float": (lambda: ts.weighted_toeplitz_norm(_RAMP, _ONES, _ONES, 2.5), None,
+                             PreconditionFailed),
+    "toeplitz-symbol-nan": (lambda: ts.weighted_toeplitz_norm(
+        np.array([1.0, np.nan]), _ONES, _ONES, 4), None, PreconditionFailed),
+    "toeplitz-beta-negative": (lambda: ts.weighted_toeplitz_norm(
+        _RAMP, _ONES, np.r_[1.0, -1.0, _ONES[2:]], 4), None, DimensionMismatch),
+    "toeplitz-beta-inf": (lambda: ts.weighted_toeplitz_norm(
+        _RAMP, np.r_[1.0, np.inf, _ONES[2:]], _ONES, 4), None, DimensionMismatch),
+    "dense-norm-nan": (lambda: _util.dense_spectral_norm(np.array([[1.0, np.nan]])), None,
+                       PreconditionFailed),
+    "dense-norm-inf": (lambda: _util.dense_spectral_norm(np.array([[1j * np.inf], [1.0]])),
+                       None, PreconditionFailed),
+    "indicator-index-float": (lambda: ts.indicator_symbol(2.5, 2), None, PreconditionFailed),
     "scalar-symbol-string": (lambda: ts.ScalarSymbol(np.array(["a"])), None, PreconditionFailed),
     "op-symbol-string": (lambda: ts.OpSymbol(np.array([[["a"]]])), None, PreconditionFailed),
     "scalar-symbol-huge": (lambda: ts.ScalarSymbol([10**400]), None, PreconditionFailed),
     "basis-unknown-vertex": (lambda: ts.L2Vector.basis(_T2_TREE, (9, 9)), None,
                              PreconditionFailed),
+    "basis-unhashable-vertex": (lambda: ts.L2Vector.basis(_T2_TREE, [1]), None,
+                                PreconditionFailed),
     "from-dict-unknown-vertex": (lambda: ts.L2Vector.from_dict(_T2_TREE, {(9, 9): 1.0}), None,
                                  PreconditionFailed),
     "getitem-unknown-vertex": (lambda: ts.L2Vector.zero(_T2_TREE)[(9, 9)], None,

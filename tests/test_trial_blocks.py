@@ -193,7 +193,7 @@ def _toeplitz_loop(a, beta1, beta2, t):
         upto = min(len(a), t - m)
         vals[:upto] = a[:upto]
         mat[m:, m] = vals * np.sqrt(beta2[m:t] / beta1[m])
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+    return _util.dense_spectral_norm(mat)
 
 
 def _cesaro_loop(S, basis, phi, orders, test_vectors, seed):
